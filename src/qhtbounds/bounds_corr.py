@@ -29,32 +29,16 @@ def factorized_stein_bound(d1: float, c: float, r_const: float, n: int, eps: flo
     Two branches meet continuously at eps = R^n exp(-n c^2 / 2); below it the
     Chernoff optimizer saturates and the bound becomes linear in log(1/eps).
     """
-    _check_r(r_const)
     if c < 0:
         raise DomainError(f"sup-norm constant must be nonnegative, got {c}")
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
-    log_ratio = n * math.log(r_const) + math.log(1.0 / eps)
-    if log_ratio <= n * c**2 / 2.0:
-        return -n * d1 + c * math.sqrt(2.0 * n * log_ratio)
-    return -n * d1 + n * c**2 / 2.0 + log_ratio
+    return nonhomog_stein_bound([(d1, c)] * n, r_const, n, eps)
 
 
 def factorized_hoeffding_bound(d1: float, c: float, r_const: float, n: int, rate: float) -> float:
     """log beta bound under the exponential constraint eps = exp(-n r)."""
-    _check_r(r_const)
     if c < 0:
         raise DomainError(f"sup-norm constant must be nonnegative, got {c}")
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
-    log_r = math.log(r_const)
-    if rate <= c**2 / 2.0 - log_r:
-        return -n * d1 + n * c * math.sqrt(2.0 * (rate + log_r))
-    return -n * (d1 - c**2 / 2.0 - rate - log_r)
+    return nonhomog_hoeffding_bound([(d1, c)] * n, r_const, n, rate)
 
 
 def nonhomog_stein_bound(steps: Sequence[tuple[float, float]], r_const: float, n: int, eps: float) -> float:
@@ -145,17 +129,7 @@ def moderate_lower(d1: float, v1: float, c: float, r_const: float, a_n: float, n
     Value n [D1 - sqrt(2 V1) (3 (log R + a_n^2)/(4 - e^c))^(1/2)], valid in
     the admissibility window c < log 4, 0 <= log R < (4-e^c)(e^c-1)^2 V1/(6c^2).
     """
-    _check_r(r_const)
-    if a_n < 0:
-        raise DomainError(f"moderate sequence value must be nonnegative, got {a_n}")
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
-    log_r = math.log(r_const)
-    _check_moderate_admissible(c, log_r, v1)
-    radicand = 3.0 * (log_r + a_n**2) / (4.0 - math.exp(c))
-    if radicand < 0:
-        raise AdmissibilityError(f"negative deviation radicand {radicand:.6g}")
-    return n * (d1 - math.sqrt(2.0 * v1) * math.sqrt(radicand))
+    return moderate_nonhomog([(d1, v1)] * n, c, r_const, a_n, n)[0]
 
 
 def moderate_upper_form(d1: float, v1: float, a_n: float, n: int) -> float:

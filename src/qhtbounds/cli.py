@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 parse error (arguments, JSON syntax, missing files),
 2 domain or precondition error, 3 resource guard. Failures write a machine
 readable ``{"error": {"type": ..., "message": ...}}`` object to stderr. All
 numeric output is rounded to 12 significant digits and identical invocations
-with identical seeds produce byte-identical output. The environment variable
-``QHTBOUNDS_THREADS`` sets the worker count for grid sweeps; row order always
-follows input order.
+with identical seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,13 +90,6 @@ def _load_json(path: str):
 
 def _load_state(path: str) -> DensityMatrix:
     return state_from_json(_load_json(path))
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QHTBOUNDS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_divergence(args, out) -> int:
@@ -191,14 +180,7 @@ def _cmd_fig1(args, out) -> int:
     bloch_a = to_bloch(rho)
     bloch_b = to_bloch(sigma)
     eps0, eps0_tilde = bounds_iid.crossover_eps(rho, sigma)
-    grid = np.linspace(0.01, 0.99, args.grid)
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda e: bounds_iid.q_curve(rho, sigma, args.n, [e]), grid))
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = bounds_iid.q_curve(rho, sigma, args.n, grid)
+    rows = bounds_iid.q_curve(rho, sigma, args.n, np.linspace(0.01, 0.99, args.grid))
     _emit_csv(
         ["field", "v1", "v2", "v3"],
         [

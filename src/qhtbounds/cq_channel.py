@@ -16,20 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds_corr import LOG4, moderate_admissible_log_r
+from .bounds_corr import factorized_stein_bound, moderate_lower, moderate_upper_form
 from .divergences import info_variance, rel_entropy
-from .errors import (
-    AdmissibilityError,
-    CertificationError,
-    ConvergenceError,
-    DomainError,
-    ResourceError,
-)
+from .errors import CertificationError, ConvergenceError, DomainError, ResourceError
 from .fcs_gibbs import GeneratingTriple
 from .modular import sup_norm_c
 from .np_oracle import d_h
-from .numerics import partial_trace, sym_eigh
-from .states import DensityMatrix, density_matrix, state_from_json
+from .numerics import pencil_eigvals
+from .states import DensityMatrix, density_matrix, product_state, state_from_json, state_to_json
 
 STRING_GUARD = 10_000
 
@@ -197,8 +191,6 @@ class CQChannelFamily:
 
 
 def memoryless_family(channel: CQChannel) -> CQChannelFamily:
-    from .states import product_state
-
     def output(string):
         return product_state([channel.outputs[x] for x in string])
 
@@ -210,26 +202,17 @@ def memoryless_family(channel: CQChannel) -> CQChannelFamily:
 
 def kernel_family(kernels: dict, rho_aux: DensityMatrix) -> CQChannelFamily:
     """Memory channel from per-letter kernels sharing one invariant memory state."""
-    letters = tuple(sorted(kernels))
     triples = {}
-    site_dim = None
-    for x in letters:
+    for x in sorted(kernels):
         ks = tuple(np.asarray(k, dtype=complex) for k in kernels[x])
-        sd = ks[0].shape[0] // rho_aux.dim
-        triple = GeneratingTriple(sd, rho_aux.dim, (ks,), rho_aux)
-        triples[x] = triple
-        site_dim = sd
-    base_outputs = {x: triples[x].site_marginal(1) for x in letters}
-    base = CQChannel(letters, base_outputs)
-    aux_dim = rho_aux.dim
+        triples[x] = GeneratingTriple(ks[0].shape[0] // rho_aux.dim, rho_aux.dim, (ks,), rho_aux)
+    base = CQChannel(tuple(triples), {x: t.site_marginal(1) for x, t in triples.items()})
 
     def output(string):
-        tau = triples[string[0]].apply_step(1, rho_aux.matrix, left_dim=1)
-        for k, x in enumerate(string[1:], start=2):
-            tau = triples[x].apply_step(1, tau, left_dim=site_dim ** (k - 1))
-        n = len(string)
-        dims = [site_dim] * n + [aux_dim]
-        return density_matrix(partial_trace(tau, dims, keep=list(range(n))))
+        tau = rho_aux.matrix
+        for x in string:
+            tau = triples[x].apply_step(1, tau)
+        return triples[string[-1]].chain_state(tau)
 
     return CQChannelFamily(base, output, "kernel")
 
@@ -237,9 +220,7 @@ def kernel_family(kernels: dict, rho_aux: DensityMatrix) -> CQChannelFamily:
 def _pencil_top(top: DensityMatrix, bottom: DensityMatrix) -> float:
     if not bottom.is_faithful():
         raise CertificationError("singular product output, constant not certifiable")
-    inv_sqrt = (bottom.eigenvectors / np.sqrt(bottom.eigenvalues)) @ bottom.eigenvectors.conj().T
-    w, _ = sym_eigh(inv_sqrt @ top.matrix @ inv_sqrt)
-    return float(w[-1])
+    return float(pencil_eigvals(top.matrix, bottom.eigenvalues, bottom.eigenvectors)[-1])
 
 
 def channel_factorization_R(family: CQChannelFamily, n: int, direction: str = "upper") -> float:
@@ -258,8 +239,6 @@ def channel_factorization_R(family: CQChannelFamily, n: int, direction: str = "u
         raise ResourceError(
             f"string enumeration {len(letters)}^{n} exceeds guard {STRING_GUARD}"
         )
-    from .states import product_state
-
     r = 1.0
     strings: list[tuple[str, ...]] = [(x,) for x in letters]
     for _ in range(2, n + 1):
@@ -319,10 +298,7 @@ def capacity_lower_factorized(
     rho, sig = lifted_states(family.base, report.prior)
     c_p = sup_norm_c(rho, sig)
     penalty = math.log(4.0 * eps / (eps - eps_prime))
-    log_ratio = n * math.log(r_const) + math.log(1.0 / eps_prime)
-    if log_ratio <= n * c_p**2 / 2.0:
-        return n * report.chi_star - c_p * math.sqrt(2.0 * n * log_ratio) - penalty
-    return n * report.chi_star - n * c_p**2 / 2.0 - log_ratio - penalty
+    return -factorized_stein_bound(report.chi_star, c_p, r_const, n, eps_prime) - penalty
 
 
 def capacity_moderate(
@@ -342,28 +318,14 @@ def capacity_moderate(
     """
     if direction not in ("lower", "upper_form"):
         raise DomainError(f"direction must be 'lower' or 'upper_form', got {direction!r}")
-    if a_n < 0:
-        raise DomainError(f"moderate sequence value must be nonnegative, got {a_n}")
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
     if report is None:
         report = holevo_capacity(family.base)
     if direction == "upper_form":
         _require_certified(family, n, "lower")
-        return n * report.chi_star - math.sqrt(2.0 * report.v_min) * n * a_n
+        return moderate_upper_form(report.chi_star, report.v_min, a_n, n)
     r_const = _require_certified(family, n, "upper")
     rho, sig = lifted_states(family.base, report.prior)
-    c_p = sup_norm_c(rho, sig)
-    if c_p >= LOG4:
-        raise AdmissibilityError(f"c_p = {c_p:.6g} must be below log 4 = {LOG4:.6g}")
-    log_r = math.log(r_const)
-    window = moderate_admissible_log_r(report.v_min, c_p)
-    if not 0.0 <= log_r < window:
-        raise AdmissibilityError(
-            f"log R = {log_r:.6g} outside the admissible window [0, {window:.6g})"
-        )
-    radicand = 3.0 * (log_r + a_n**2) / (4.0 - math.exp(c_p))
-    return n * report.chi_star - n * math.sqrt(2.0 * report.v_min) * math.sqrt(radicand)
+    return moderate_lower(report.chi_star, report.v_min, sup_norm_c(rho, sig), r_const, a_n, n)
 
 
 def channel_from_json(obj) -> CQChannel:
@@ -376,8 +338,6 @@ def channel_from_json(obj) -> CQChannel:
 
 
 def capacity_report_to_json(report: CapacityReport) -> dict:
-    from .states import state_to_json
-
     return {
         "chi_star": report.chi_star,
         "prior": report.prior,

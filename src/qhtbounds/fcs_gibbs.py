@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CertificationError, DomainError, InvalidStateError, ResourceError
-from .numerics import eig_h, kron, partial_trace, sym_eigh
+from .numerics import eig_h, kron, partial_trace, pencil_eigvals
 from .states import (
     DEFAULT_DIM_BUDGET,
     FAITHFULNESS_THRESHOLD,
     DensityMatrix,
+    _from_eigensystem,
     density_matrix,
     maximally_mixed,
     product_state,
@@ -80,7 +81,7 @@ class GeneratingTriple:
                 acc += k.conj().T @ k
             if np.abs(acc - np.eye(self.aux_dim)).max() > KRAUS_TP_TOL:
                 raise DomainError(f"step {step}: Kraus operators are not trace preserving")
-            lifted = self.apply_step(step, self.rho_aux.matrix, left_dim=1)
+            lifted = self.apply_step(step, self.rho_aux.matrix)
             back = partial_trace(lifted, [self.site_dim, self.aux_dim], keep=[1])
             if np.abs(back - self.rho_aux.matrix).max() > INVARIANCE_TOL:
                 raise DomainError(f"step {step}: auxiliary state is not invariant")
@@ -92,19 +93,25 @@ class GeneratingTriple:
             raise DomainError(f"no kernel defined for step {step}")
         return self.kraus_steps[step - 1]
 
-    def apply_step(self, step: int, tau: np.ndarray, left_dim: int) -> np.ndarray:
+    def apply_step(self, step: int, tau: np.ndarray) -> np.ndarray:
         """Apply the step kernel to the trailing auxiliary factor of tau."""
-        eye = np.eye(left_dim, dtype=complex)
-        out = None
-        for k in self.kraus_for_step(step):
-            lifted = kron(eye, k)
-            term = lifted @ tau @ lifted.conj().T
-            out = term if out is None else out + term
-        return out
+        left = tau.shape[0] // self.aux_dim
+        t = tau.reshape(left, self.aux_dim, left, self.aux_dim)
+        out = sum(
+            np.einsum("pi,limj,qj->lpmq", k, t, k.conj(), optimize=True)
+            for k in self.kraus_for_step(step)
+        )
+        side = left * self.site_dim * self.aux_dim
+        return out.reshape(side, side)
+
+    def chain_state(self, tau: np.ndarray) -> DensityMatrix:
+        """Chain state left after tracing the trailing auxiliary factor out of tau."""
+        left = tau.shape[0] // self.aux_dim
+        t = tau.reshape(left, self.aux_dim, left, self.aux_dim)
+        return density_matrix(np.einsum("limi->lm", t))
 
     def site_marginal(self, step: int) -> DensityMatrix:
-        lifted = self.apply_step(step, self.rho_aux.matrix, left_dim=1)
-        return density_matrix(partial_trace(lifted, [self.site_dim, self.aux_dim], keep=[0]))
+        return self.chain_state(self.apply_step(step, self.rho_aux.matrix))
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,7 @@ def build_gibbs(chain: GibbsChain, n: int, max_dim: int = DEFAULT_DIM_BUDGET) ->
         ham += kron(kron(left, np.asarray(chain.h, dtype=complex)), right)
     w, u = eig_h(ham)
     boltz = np.exp(-chain.beta * (w - w.min()))
-    rho = (u * boltz) @ u.conj().T / boltz.sum()
-    return density_matrix(rho)
+    return _from_eigensystem(boltz / boltz.sum(), u)
 
 
 def build_fcs(triple: GeneratingTriple, n: int, max_dim: int = DEFAULT_DIM_BUDGET) -> tuple[DensityMatrix, DensityMatrix]:
@@ -168,12 +174,10 @@ def build_fcs(triple: GeneratingTriple, n: int, max_dim: int = DEFAULT_DIM_BUDGE
         raise DomainError(f"chain length must be >= 1, got {n}")
     if triple.site_dim**n > max_dim:
         raise ResourceError(f"chain dimension {triple.site_dim ** n} exceeds budget {max_dim}")
-    tau = triple.apply_step(1, triple.rho_aux.matrix, left_dim=1)
-    for step in range(2, n + 1):
-        tau = triple.apply_step(step, tau, left_dim=triple.site_dim ** (step - 1))
-    dims = [triple.site_dim] * n + [triple.aux_dim]
-    rho_n = density_matrix(partial_trace(tau, dims, keep=list(range(n))))
-    return rho_n, triple.site_marginal(n)
+    tau = triple.rho_aux.matrix
+    for step in range(1, n + 1):
+        tau = triple.apply_step(step, tau)
+    return triple.chain_state(tau), triple.site_marginal(n)
 
 
 def commutative_fcs(
@@ -297,24 +301,29 @@ def decoupling_kernel(site_state: DensityMatrix, rho_aux: DensityMatrix) -> Gene
 class StateFamily:
     """Lazily grown family rho_1, rho_2, ... with site marginals and certificates.
 
+    ``extend(n, prev_state)`` returns ``(rho_n, marg_n)``, with ``prev_state``
+    the cached rho_{n-1} (None at n = 1); it is called once per n, in order.
     Instances cache every computed state; ``certify`` populates the minimal
     factorization constants over the cached range, after which downstream
     bound evaluators accept the family.
     """
 
-    def __init__(self, kind: str, site_dim: int, max_dim: int = DEFAULT_DIM_BUDGET):
+    def __init__(
+        self,
+        kind: str,
+        site_dim: int,
+        extend: Callable[[int, DensityMatrix | None], tuple[DensityMatrix, DensityMatrix]],
+        max_dim: int = DEFAULT_DIM_BUDGET,
+    ):
         self.kind = kind
         self.site_dim = site_dim
+        self.extend = extend
         self.max_dim = max_dim
         self._states: list[DensityMatrix] = []
         self._marginals: list[DensityMatrix] = []
         self.r_upper: float | None = None
         self.r_lower: float | None = None
         self.certified_n: int = 0
-
-    # generator hook, provided by the factory closures below
-    def _extend(self) -> None:  # pragma: no cover - replaced per instance
-        raise NotImplementedError
 
     def grow(self, n: int) -> None:
         if n < 1:
@@ -324,7 +333,9 @@ class StateFamily:
                 f"family dimension {self.site_dim ** n} exceeds budget {self.max_dim}"
             )
         while len(self._states) < n:
-            self._extend()
+            rho, marg = self.extend(len(self._states) + 1, self._states[-1] if self._states else None)
+            self._states.append(rho)
+            self._marginals.append(marg)
 
     def state(self, n: int) -> DensityMatrix:
         self.grow(n)
@@ -348,39 +359,22 @@ class StateFamily:
 
 
 def fcs_family(triple: GeneratingTriple, max_dim: int = DEFAULT_DIM_BUDGET) -> StateFamily:
-    fam = StateFamily("fcs", triple.site_dim, max_dim)
-    fam.triple = triple
-    tau_box: dict[str, np.ndarray] = {}
+    tau = triple.rho_aux.matrix
 
-    def extend():
-        n = len(fam._states) + 1
-        if n == 1:
-            tau_box["tau"] = triple.apply_step(1, triple.rho_aux.matrix, left_dim=1)
-        else:
-            tau_box["tau"] = triple.apply_step(
-                n, tau_box["tau"], left_dim=triple.site_dim ** (n - 1)
-            )
-        dims = [triple.site_dim] * n + [triple.aux_dim]
-        rho = density_matrix(partial_trace(tau_box["tau"], dims, keep=list(range(n))))
-        fam._states.append(rho)
-        fam._marginals.append(triple.site_marginal(n))
+    def extend(n, prev):
+        nonlocal tau
+        tau = triple.apply_step(n, tau)
+        return triple.chain_state(tau), triple.site_marginal(n)
 
-    fam._extend = extend
-    return fam
+    return StateFamily("fcs", triple.site_dim, extend, max_dim)
 
 
 def gibbs_family(chain: GibbsChain, max_dim: int = DEFAULT_DIM_BUDGET) -> StateFamily:
-    fam = StateFamily("gibbs", chain.site_dim, max_dim)
-    fam.chain = chain
+    # homogeneous factorization against the single-site Gibbs state
+    def extend(n, prev):
+        return build_gibbs(chain, n, max_dim), maximally_mixed(chain.site_dim)
 
-    def extend():
-        n = len(fam._states) + 1
-        fam._states.append(build_gibbs(chain, n, max_dim))
-        # homogeneous factorization against the single-site Gibbs state
-        fam._marginals.append(maximally_mixed(chain.site_dim))
-
-    fam._extend = extend
-    return fam
+    return StateFamily("gibbs", chain.site_dim, extend, max_dim)
 
 
 def product_family(factors, max_dim: int = DEFAULT_DIM_BUDGET) -> StateFamily:
@@ -399,25 +393,11 @@ def product_family(factors, max_dim: int = DEFAULT_DIM_BUDGET) -> StateFamily:
                 raise DomainError(f"no factor defined for step {k}")
             return factors[k - 1]
 
-    fam = StateFamily("product", site_dim, max_dim)
-
-    def extend():
-        n = len(fam._states) + 1
+    def extend(n, prev):
         f = factor_for(n)
-        if n == 1:
-            fam._states.append(f)
-        else:
-            fam._states.append(product_state([fam._states[-1], f], max_dim=max_dim))
-        fam._marginals.append(f)
+        return (f if prev is None else product_state([prev, f], max_dim=max_dim)), f
 
-    fam._extend = extend
-    return fam
-
-
-def _max_pencil_ratio(top: DensityMatrix, bottom: DensityMatrix) -> float:
-    inv_sqrt = (bottom.eigenvectors / np.sqrt(bottom.eigenvalues)) @ bottom.eigenvectors.conj().T
-    w, _ = sym_eigh(inv_sqrt @ top.matrix @ inv_sqrt)
-    return float(w[-1])
+    return StateFamily("product", site_dim, extend, max_dim)
 
 
 def minimal_upper_R(family: StateFamily, n: int) -> float:
@@ -435,9 +415,9 @@ def minimal_upper_R(family: StateFamily, n: int) -> float:
             raise CertificationError(
                 f"step {k}: product state is singular, upper constant not certifiable"
             )
-        r = max(r, _max_pencil_ratio(rho_k, prod_k))
+        r = max(r, float(pencil_eigvals(rho_k.matrix, prod_k.eigenvalues, prod_k.eigenvectors)[-1]))
     for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        w, _ = sym_eigh(r * prod_k.matrix - rho_k.matrix)
+        w = np.linalg.eigvalsh(r * prod_k.matrix - rho_k.matrix)
         if w[0] < -PSD_CHECK_TOL:
             raise CertificationError(
                 f"step {k}: direct check failed, min eigenvalue {w[0]:.3e}"
@@ -454,23 +434,16 @@ def minimal_lower_R(family: StateFamily, n: int) -> float:
     pairs = family.step_pairs(n)
     r = 1.0
     for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        if rho_k.is_faithful():
-            r = max(r, _max_pencil_ratio(prod_k, rho_k))
-            continue
         mask = rho_k.eigenvalues > FAITHFULNESS_THRESHOLD
         null_vecs = rho_k.eigenvectors[:, ~mask]
-        leak = float(
-            np.einsum("ij,jk,ki->i", null_vecs.conj().T, prod_k.matrix, null_vecs).real.sum()
-        )
-        if leak > 1e-10:
-            return math.inf
-        basis = rho_k.eigenvectors[:, mask]
-        top = basis.conj().T @ prod_k.matrix @ basis
-        inv_sqrt = np.diag(1.0 / np.sqrt(rho_k.eigenvalues[mask]))
-        w, _ = sym_eigh(inv_sqrt @ top @ inv_sqrt)
+        if null_vecs.size:
+            leak = np.einsum("ij,jk,ki->i", null_vecs.conj().T, prod_k.matrix, null_vecs)
+            if float(leak.real.sum()) > 1e-10:
+                return math.inf
+        w = pencil_eigvals(prod_k.matrix, rho_k.eigenvalues[mask], rho_k.eigenvectors[:, mask])
         r = max(r, float(w[-1]))
     for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        w, _ = sym_eigh(r * rho_k.matrix - prod_k.matrix)
+        w = np.linalg.eigvalsh(r * rho_k.matrix - prod_k.matrix)
         if w[0] < -PSD_CHECK_TOL:
             raise CertificationError(
                 f"step {k}: direct lower check failed, min eigenvalue {w[0]:.3e}"

@@ -16,15 +16,10 @@ import numpy as np
 
 from .divergences import _prepare, rel_entropy
 from .errors import DomainError, SupportError
+from .numerics import _frozen
 from .states import DensityMatrix
 
 CLUSTER_TOL = 1e-9
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .numerics import eig_h, sym_eigh
+from .numerics import _frozen, eig_h, pencil_eigvals
 from .states import DensityMatrix
 
 MAX_ORACLE_DIM = 4096
 ZERO_EIG_TOL = 1e-11
 CURVE_REFINE_TOL = 1e-9
 MAX_CURVE_POINTS = 20_000
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class _TestFamily:
             raise ResourceError(f"oracle refuses dimension {rho.dim} > {MAX_ORACLE_DIM}")
         self.rho = rho.matrix
         self.sigma = sigma.matrix
-        self._dm = (rho, sigma)
+        self._sigma_dm = sigma
 
     def points_at(self, u: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """Error pairs (strict, inclusive) of the threshold test at u."""
@@ -89,11 +83,8 @@ class _TestFamily:
         return out[0], out[1]
 
     def candidate_u(self) -> list[float]:
-        rho_dm, sigma_dm = self._dm
-        mu = np.maximum(sigma_dm.eigenvalues, 1e-14)
-        inv_sqrt = (sigma_dm.eigenvectors / np.sqrt(mu)) @ sigma_dm.eigenvectors.conj().T
-        pencil = inv_sqrt @ self.rho @ inv_sqrt
-        w, _ = sym_eigh(pencil)
+        mu = np.maximum(self._sigma_dm.eigenvalues, 1e-14)
+        w = pencil_eigvals(self.rho, mu, self._sigma_dm.eigenvectors)
         cands = np.unique(np.concatenate(([0.0], np.maximum(w, 0.0))))
         keep = [float(cands[0])]
         for t in cands[1:]:

@@ -17,6 +17,12 @@ HERMITICITY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-10
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -56,11 +62,23 @@ def eig_h(m) -> tuple[np.ndarray, np.ndarray]:
 def sym_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition after symmetrizing roundoff asymmetry.
 
-    For internal use on products like B^(-1/2) A B^(-1/2) that are Hermitian
+    For internal use on products like A B A (A, B Hermitian) that are Hermitian
     in exact arithmetic but accumulate O(eps) asymmetry.
     """
     a = as_square_matrix(m)
     return np.linalg.eigh((a + a.conj().T) / 2.0)
+
+
+def pencil_eigvals(top: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the pencil (top, u diag(w) u^dag).
+
+    ``w`` and ``u`` are eigenvalues and orthonormal eigenvector columns of the
+    bottom matrix; the result is ``eigvalsh(V^dag top V)`` with
+    ``V = u / sqrt(w)``. When ``u`` holds only some eigenvector columns, the
+    pencil is restricted to their span. Every ``w`` must be positive.
+    """
+    v = u / np.sqrt(w)
+    return np.linalg.eigvalsh(v.conj().T @ top @ v)
 
 
 def mat_func(m, f: Callable[[float], float]) -> np.ndarray:
@@ -118,24 +136,3 @@ def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     w, _ = eig_h(m)
     return float(np.abs(w).sum())
-
-
-def cluster_sorted(values: np.ndarray, tol: float, relative: bool = False) -> list[np.ndarray]:
-    """Group an ascending array into clusters of nearly equal entries.
-
-    Consecutive values are merged while their gap stays within ``tol``
-    (times ``max(1, |value|)`` when ``relative``). Returns index arrays, one
-    per cluster, covering the input in order.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, values.size):
-        gap_tol = tol * max(1.0, abs(values[i]), abs(values[i - 1])) if relative else tol
-        if values[i] - values[i - 1] > gap_tol:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, values.size))
-    return groups

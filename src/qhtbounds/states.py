@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidStateError, ResourceError
-from .numerics import check_hermitian, eig_h, kron
+from .numerics import _frozen, check_hermitian, kron
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -19,12 +19,6 @@ DEFAULT_DIM_BUDGET = 4096
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -53,13 +47,13 @@ class DensityMatrix:
 
 def density_matrix(m, *, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> DensityMatrix:
     """Validate a matrix as a quantum state and cache its eigendecomposition."""
-    w, u = eig_h(m)
+    a = check_hermitian(m)
+    w, u = np.linalg.eigh(a)
     if w[0] < -psd_tol:
         raise InvalidStateError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     tr = float(w.sum())
     if abs(tr - 1.0) > trace_tol:
         raise InvalidStateError(f"trace {tr!r} differs from 1 by more than {trace_tol:.1e}")
-    a = check_hermitian(m)
     return DensityMatrix(_frozen(a), _frozen(w), _frozen(u))
 
 

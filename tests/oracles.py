@@ -216,3 +216,13 @@ def minimal_r_by_bisection(top: np.ndarray, bottom: np.ndarray, hi: float = 1e6)
         else:
             lo = mid
     return hi
+
+
+def kraus_step_by_kron(kraus, tau: np.ndarray, left_dim: int) -> np.ndarray:
+    """Kernel step sum_k (I_left (x) K) tau (I_left (x) K)^dag by explicit lifting."""
+    eye = np.eye(left_dim, dtype=complex)
+    out = 0
+    for k in kraus:
+        lifted = np.kron(eye, k)
+        out = out + lifted @ tau @ lifted.conj().T
+    return out

@@ -140,13 +140,10 @@ def test_fig1_echoes_bloch_vectors(specs, capsys):
     assert len(table) == 51
 
 
-def test_fig1_deterministic_and_thread_independent(specs, capsys, monkeypatch):
+def test_fig1_deterministic(specs, capsys):
     _, out1, _ = run_cli(capsys, "fig1", "--seed", "5", "--grid", "20")
     _, out2, _ = run_cli(capsys, "fig1", "--seed", "5", "--grid", "20")
     assert out1 == out2
-    monkeypatch.setenv("QHTBOUNDS_THREADS", "3")
-    _, out3, _ = run_cli(capsys, "fig1", "--seed", "5", "--grid", "20")
-    assert out1 == out3
 
 
 def test_fcs_certify(specs, capsys):

@@ -281,6 +281,9 @@ def test_channel_factorization_r_single_letter_matches_state_family():
     fam_channel = kernel_family({"0": list(tri.kraus_steps[0])}, tri.rho_aux)
     r_channel = channel_factorization_R(fam_channel, 3, "upper")
     assert abs(r_state - r_channel) <= 1e-10
+    for n in (1, 2, 3):
+        diff = fam_channel.n_letter_output(("0",) * n).matrix - fam_states.state(n).matrix
+        assert np.abs(diff).max() <= 1e-12
 
 
 def test_channel_factorization_r_memory_family_cross_check():
@@ -333,6 +336,20 @@ def test_capacity_moderate_admissibility_rejections():
     fam2.certified_n = 5
     with pytest.raises(AdmissibilityError):
         capacity_moderate(fam2, 0.1, 5, "lower", rep2)
+
+
+def test_capacity_bounds_reject_r_below_one():
+    # no factorization constant lies below 1; R = 0.5 gave a bound above the R = 1 value
+    ch = bsc_channel(0.4)
+    rep = holevo_capacity(ch)
+    fam = memoryless_family(ch)
+    fam.r_upper = 0.5
+    with pytest.raises(DomainError):
+        capacity_lower_factorized(fam, 4, 0.2, 0.05, rep)
+    with pytest.raises(DomainError):
+        capacity_moderate(fam, 0.1, 4, "lower", rep)
+    fam.r_upper = 1.0
+    assert capacity_lower_factorized(fam, 4, 0.2, 0.05, rep) <= 4 * rep.chi_star
 
 
 def test_capacity_requires_certificate():

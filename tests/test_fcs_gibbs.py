@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ising_chain_probs, markov_path_probs, minimal_r_by_bisection
+from oracles import ising_chain_probs, kraus_step_by_kron, markov_path_probs, minimal_r_by_bisection
 from qhtbounds import (
     CertificationError,
     DomainError,
@@ -95,6 +95,44 @@ def test_build_fcs_marginal_consistency():
     for n in (2, 3, 4):
         reduced = partial_trace(fam.state(n).matrix, [2] * n, list(range(n - 1)))
         assert np.abs(reduced - fam.state(n - 1).matrix).max() <= 1e-9
+
+
+@pytest.mark.parametrize("left_dim", [1, 2, 8])
+def test_apply_step_matches_kron_reference(left_dim):
+    # site and auxiliary dimensions differ so a swapped reshape would show
+    triple = decoupling_kernel(random_density(2, 11), random_density(3, 12))
+    tau = random_density(left_dim * 3, 13 + left_dim).matrix
+    got = triple.apply_step(1, tau)
+    want = kraus_step_by_kron(triple.kraus_for_step(1), tau, left_dim)
+    assert got.shape == (left_dim * 6, left_dim * 6)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_apply_step_non_homogeneous_two_steps():
+    # two kernels sharing the invariant uniform memory state
+    uniform = np.array([0.5, 0.5])
+    first = commutative_fcs(
+        np.array([[0.8, 0.2], [0.2, 0.8]]),
+        [[random_density(2, 20 + i + 2 * j) for j in range(2)] for i in range(2)],
+        uniform,
+    )
+    second = commutative_fcs(
+        np.array([[0.3, 0.7], [0.7, 0.3]]),
+        [[random_density(2, 30 + i + 2 * j) for j in range(2)] for i in range(2)],
+        uniform,
+    )
+    triple = GeneratingTriple(2, 2, first.kraus_steps + second.kraus_steps, first.rho_aux)
+    tau = triple.rho_aux.matrix
+    for step in (1, 2):
+        want = kraus_step_by_kron(triple.kraus_for_step(step), tau, 2 ** (step - 1))
+        got = triple.apply_step(step, tau)
+        assert np.abs(got - want).max() <= 1e-14
+        tau = want
+    rho2, marg2 = build_fcs(triple, 2)
+    assert np.abs(rho2.matrix - partial_trace(tau, [2, 2, 2], keep=[0, 1])).max() <= 1e-14
+    assert np.abs(triple.chain_state(tau).matrix - rho2.matrix).max() == 0.0
+    lifted = kraus_step_by_kron(second.kraus_steps[0], triple.rho_aux.matrix, 1)
+    assert np.abs(marg2.matrix - partial_trace(lifted, [2, 2], keep=[0])).max() <= 1e-14
 
 
 def test_build_gibbs_trivial_cases():

@@ -6,11 +6,11 @@ import pytest
 from qhtbounds import DomainError
 from qhtbounds.numerics import (
     check_hermitian,
-    cluster_sorted,
     eig_h,
     kron,
     mat_func,
     partial_trace,
+    pencil_eigvals,
     trace_norm,
 )
 
@@ -187,6 +187,41 @@ def test_check_hermitian_symmetrizes():
     assert np.abs(out - out.conj().T).max() == 0.0
 
 
-def test_cluster_sorted():
-    groups = cluster_sorted(np.array([0.0, 1e-12, 1.0, 1.0 + 5e-11, 2.0]), 1e-10)
-    assert [list(g) for g in groups] == [[0, 1], [2, 3], [4]]
+def random_psd(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return g @ g.conj().T
+
+
+def reference_pencil(top, bottom):
+    return np.sort(np.linalg.eigvals(np.linalg.solve(bottom, top)).real)
+
+
+def test_pencil_eigvals_faithful_pair():
+    top, bottom = random_psd(5, 5, 1), random_psd(5, 5, 2)
+    w, u = np.linalg.eigh(bottom)
+    got = pencil_eigvals(top, w, u)
+    assert np.allclose(got, reference_pencil(top, bottom), rtol=1e-9, atol=1e-12)
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_pencil_eigvals_floored_singular_bottom():
+    top, bottom = random_psd(6, 6, 3), random_psd(6, 3, 4)
+    w, u = np.linalg.eigh(bottom)
+    assert w[0] < 1e-12
+    floored = np.maximum(w, 1e-6)
+    got = pencil_eigvals(top, floored, u)
+    want = reference_pencil(top, (u * floored) @ u.conj().T)
+    assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+
+
+def test_pencil_eigvals_support_restricted_basis():
+    top, bottom = random_psd(6, 6, 5), random_psd(6, 4, 6)
+    w, u = np.linalg.eigh(bottom)
+    mask = w > 1e-12
+    assert mask.sum() == 4
+    basis = u[:, mask]
+    got = pencil_eigvals(top, w[mask], basis)
+    want = reference_pencil(basis.conj().T @ top @ basis, basis.conj().T @ bottom @ basis)
+    assert got.shape == (4,)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
