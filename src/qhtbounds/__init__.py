@@ -51,7 +51,15 @@ from .modular import (
     sup_norm_c,
     tail,
 )
-from .np_oracle import ErrorCurve, d_h, error_curve, optimal_type2, optimal_type2_hoeffding
+from .np_oracle import (
+    ErrorCurve,
+    Type2Report,
+    d_h,
+    error_curve,
+    optimal_type2,
+    optimal_type2_hoeffding,
+    optimal_type2_report,
+)
 from .concentration import (
     MartingaleModel,
     MODELS,

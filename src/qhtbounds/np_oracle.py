@@ -1,37 +1,47 @@
 """Exact optimal asymmetric hypothesis-testing errors for explicit state pairs.
 
 Optimal tests have the Neyman-Pearson structure: a projector onto the strictly
-positive eigenspace of rho - t sigma plus a randomized fraction of its zero
-eigenspace. Along this family the type-I error is nondecreasing and the
-type-II error nonincreasing in t, so the optimum at a given type-I level is
-found exactly by bisection over the threshold, with kernel randomization
-closing any jump. Thresholds are handled through u = t / (1 + t), under which
-the pencil becomes the segment (1 - u) rho - u sigma and t -> inf (the best
-zero type-II test, relevant for singular sigma) is the endpoint u = 1.
+positive eigenspace of (1 - u) rho - u sigma plus a randomized fraction of its
+zero eigenspace, for a threshold u in [0, 1] (u = t / (1 + t) for the
+threshold t on rho - t sigma; u = 1 is the best zero type-II test, relevant
+for singular sigma). Along this family the type-I error is nondecreasing and
+the type-II error nonincreasing in u.
 
-The rank of the test only changes when t crosses a generalized eigenvalue of
-(rho, sigma). For commuting pairs the projector itself is constant in
-between, making the frontier the polygon on those candidate thresholds; for
-non-commuting pairs the eigenvectors rotate and the frontier is a smooth
-convex curve, so the curve builder subdivides candidate intervals until its
-polygon hugs the frontier to the requested tolerance.
+The rank of the test only changes at the generalized eigenvalues of
+(rho, sigma), which one pencil ``eigvalsh`` finds. At such a node the type-I
+error jumps, and randomizing the zero eigenspace traces an exact facet of the
+frontier; between nodes the type-I error is constant for commuting pairs and
+smooth otherwise. Every evaluated threshold u > 0 also yields the supporting
+line of the frontier with slope -(1 - u) / u, whose value at a type-I level
+eps is the dual value of the hypothesis-testing SDP,
+[(1 - u)(1 - eps) - Tr((1 - u) rho - u sigma)_+] / u, a lower bound on the
+optimal type-II error. ``optimal_type2`` closes the gap between that lower
+bound and the best randomized test found by a bracketed root solve;
+``error_curve`` refines the chord/tangent sandwich of the whole frontier.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .numerics import _frozen, eig_h, pencil_eigvals
+from .errors import ConvergenceError, DomainError, ResourceError
+from .numerics import _frozen, pencil_eigvals
 from .states import DensityMatrix
 
-MAX_ORACLE_DIM = 4096
 ZERO_EIG_TOL = 1e-11
-CURVE_REFINE_TOL = 1e-9
+TYPE2_REL_WIDTH = 1e-12
+TYPE2_ABS_WIDTH = 1e-15
+MAX_TYPE2_EVALS = 60
+CURVE_REFINE_TOL = 1e-8
 MAX_CURVE_POINTS = 20_000
+# cost guard: largest allowed (evaluation budget) x dim^3, checked before the
+# first eigendecomposition; admits optimal_type2 up to dim 1024 and
+# error_curve up to dim 128
+MAX_ORACLE_COST = 1e11
 
 
 @dataclass(frozen=True)
@@ -41,13 +51,19 @@ class ErrorCurve:
     ``alphas`` is strictly increasing from 0, ``betas`` strictly decreasing to
     its final value (0 whenever perfect type-II discrimination is reachable);
     randomized tests interpolate linearly between breakpoints. Every
-    breakpoint is exactly achievable; interpolation can overestimate the true
-    optimum by at most the builder's refinement tolerance (zero for commuting
-    pairs, where the frontier is this polygon).
+    breakpoint is exactly achievable, and interpolation overestimates the true
+    optimum by at most ``gap``, the largest chord-over-tangent gap left
+    between neighbouring threshold points (0 up to roundoff for commuting
+    pairs, where the frontier is this polygon). ``error_curve`` brings it
+    under its refinement tolerance, except on an interval too narrow to split
+    in double precision, or raises when its point cap comes first.
+    ``points`` counts the threshold tests evaluated.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
+    gap: float
+    points: int
 
     def beta_at(self, eps: float) -> float:
         if eps < 0.0:
@@ -57,35 +73,72 @@ class ErrorCurve:
         return float(np.interp(eps, self.alphas, self.betas))
 
 
+@dataclass(frozen=True)
+class Type2Report:
+    """Optimal type-II error with its certificate.
+
+    ``upper`` is the type-II error of a randomized test of type-I error at
+    most eps that was found; ``lower`` is the best dual value, a lower bound
+    on the optimum up to roundoff (it can exceed ``upper`` by a few units in
+    the last place); ``value`` equals ``upper``. ``evaluations`` counts the
+    threshold eigendecompositions, besides the one pencil ``eigvalsh``.
+    """
+
+    value: float
+    lower: float
+    upper: float
+    evaluations: int
+
+
 class _TestFamily:
     """Strict/inclusive Neyman-Pearson tests along u = t / (1 + t)."""
 
-    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix, max_evals: int):
         if rho.dim != sigma.dim:
             raise DomainError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        if rho.dim > MAX_ORACLE_DIM:
-            raise ResourceError(f"oracle refuses dimension {rho.dim} > {MAX_ORACLE_DIM}")
+        cost = max_evals * float(rho.dim) ** 3
+        if cost > MAX_ORACLE_COST:
+            raise ResourceError(
+                f"oracle refuses dimension {rho.dim}: {max_evals} eigendecompositions "
+                f"cost {cost:.2e} > {MAX_ORACLE_COST:.0e} (evaluations x dim^3)"
+            )
         self.rho = rho.matrix
         self.sigma = sigma.matrix
+        self._both = np.hstack((rho.matrix, sigma.matrix))
         self._sigma_dm = sigma
+        self.evaluations = 0
 
-    def points_at(self, u: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Error pairs (strict, inclusive) of the threshold test at u."""
-        w, vecs = eig_h((1.0 - u) * self.rho - u * self.sigma)
-        diag_rho = np.einsum("ij,jk,ki->i", vecs.conj().T, self.rho, vecs).real
-        diag_sig = np.einsum("ij,jk,ki->i", vecs.conj().T, self.sigma, vecs).real
+    def points_at(self, u: float) -> tuple[tuple[float, float], tuple[float, float], float, float]:
+        """Error pairs (strict, inclusive) of the threshold test at u, the sum
+        of the positive eigenvalues the strict test leaves out, and the Newton
+        step from u to where the near-zero eigenvalues vanish.
+
+        Each error is summed over the eigenvectors it counts, never as one
+        minus the rest, so small errors keep their relative precision.
+        """
+        # a real combination of Hermitian matrices: eigh needs no check
+        w, vecs = np.linalg.eigh((1.0 - u) * self.rho - u * self.sigma)
+        self.evaluations += 1
+        # diagonals of V^dag rho V and V^dag sigma V from one product
+        d = w.size
+        diags = ((vecs.conj().T @ self._both).reshape(d, 2, d) * vecs.T[:, None, :]).sum(axis=2).real
         tol = ZERO_EIG_TOL * max(u, 1.0 - u)
+        k_pos, k_strict, k_incl = np.searchsorted(w, (0.0, tol, -tol), side="right")
         out = []
-        for mask in (w > tol, w > -tol):
-            alpha = min(max(float(1.0 - diag_rho[mask].sum()), 0.0), 1.0)
-            beta = min(max(float(diag_sig[mask].sum()), 0.0), 1.0)
+        for k in (k_strict, k_incl):
+            alpha = min(max(float(diags[:k, 0].sum()), 0.0), 1.0)
+            beta = min(max(float(diags[k:, 1].sum()), 0.0), 1.0)
             out.append((alpha, beta))
-        return out[0], out[1]
+        # d/du of an eigenvalue is -<v|rho + sigma|v>
+        slope = float(diags[k_incl:k_strict].sum())
+        step = float(w[k_incl:k_strict].sum()) / slope if slope > 0.0 else 0.0
+        return out[0], out[1], float(w[k_pos:k_strict].sum()), step
 
     def candidate_u(self) -> list[float]:
         mu = np.maximum(self._sigma_dm.eigenvalues, 1e-14)
         w = pencil_eigvals(self.rho, mu, self._sigma_dm.eigenvectors)
-        cands = np.unique(np.concatenate(([0.0], np.maximum(w, 0.0))))
+        # the loop drops duplicates; np.unique would also import numpy.ma (1 MiB)
+        cands = np.sort(np.concatenate(([0.0], np.maximum(w, 0.0))))
         keep = [float(cands[0])]
         for t in cands[1:]:
             if t - keep[-1] > 1e-12 * max(1.0, t):
@@ -93,34 +146,171 @@ class _TestFamily:
         return [t / (1.0 + t) for t in keep] + [1.0]
 
 
-def optimal_type2(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -> float:
-    """Minimal type-II error at type-I level eps, randomized tests allowed.
+class _Bracket:
+    """Certified bracket [lower, upper] on the optimal type-II error at eps.
 
-    Bisection over the monotone threshold family to machine precision. The
-    strict test at the feasible side of the bracket is always achievable;
-    when the type-I error jumps over the level at a generalized eigenvalue,
-    randomizing the zero eigenspace closes the gap and that mixture's type-II
-    error enters the minimum as well.
+    The upper end is the best test found: a feasible threshold test, or the
+    mixture of the feasible and the infeasible test whose type-I errors lie
+    nearest to eps on either side, which has type-I error exactly eps. It
+    starts as the chord of the accept-all and reject-all tests.
+    """
+
+    def __init__(self, family: _TestFamily, eps: float):
+        self.family = family
+        self.eps = eps
+        self.lower = 0.0
+        self.feasible = (0.0, 1.0)
+        self.infeasible = (1.0, 0.0)
+        self.upper = 1.0 - eps
+
+    def visit(self, u: float) -> tuple[tuple[float, float], float]:
+        """Evaluate the threshold tests at u; return their type-I errors
+        (strict, inclusive) and the Newton step onto the nearby node."""
+        strict, incl, left_out, step = self.family.points_at(u)
+        eps = self.eps
+        if u > 0.0:
+            # the dual value [(1 - u)(1 - eps) - Tr((1 - u) rho - u sigma)_+] / u,
+            # written through the strict test's errors to avoid its cancellation
+            a, b = strict
+            self.lower = max(self.lower, b + (1.0 - u) / u * (a - eps) - left_out / u)
+        for a, b in (incl, strict):
+            if a <= eps:
+                self.upper = min(self.upper, b)
+                if (a, -b) > (self.feasible[0], -self.feasible[1]):
+                    self.feasible = (a, b)
+            elif (a, b) < self.infeasible:
+                self.infeasible = (a, b)
+        (a_f, b_f), (a_x, b_x) = self.feasible, self.infeasible
+        lam = (a_x - eps) / (a_x - a_f)
+        self.upper = min(self.upper, lam * b_f + (1.0 - lam) * b_x)
+        return (strict[0], incl[0]), step
+
+    def certified(self) -> bool:
+        return self.upper - self.lower <= max(TYPE2_REL_WIDTH * self.upper, TYPE2_ABS_WIDTH)
+
+    def report(self) -> Type2Report:
+        return Type2Report(self.upper, self.lower, self.upper, self.family.evaluations)
+
+
+def _split(u_lo: float, u_hi: float) -> float:
+    """Bisection point of a threshold bracket: geometric in t = u / (1 - u)
+    when the bracket spans more than a factor 4 in t, arithmetic in u otherwise."""
+    if 0.0 < u_lo and u_hi < 1.0:
+        t_lo, t_hi = u_lo / (1.0 - u_lo), u_hi / (1.0 - u_hi)
+        if t_hi > 4.0 * t_lo:
+            t = math.sqrt(t_lo * t_hi)
+            return t / (1.0 + t)
+    return 0.5 * (u_lo + u_hi)
+
+
+def _interpolate(pts: list[tuple[float, float]]) -> float:
+    """Root of the inverse quadratic (or, for two points, linear) interpolant of (u, g) points."""
+    if len(pts) == 3:
+        (x0, g0), (x1, g1), (x2, g2) = pts
+        if g0 != g1 and g0 != g2 and g1 != g2:
+            return (
+                x0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
+                + x1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
+                + x2 * g0 * g1 / ((g2 - g0) * (g2 - g1))
+            )
+    (x0, g0), (x1, g1) = pts[:2]
+    return x0 - g0 * (x1 - x0) / (g1 - g0)
+
+
+def optimal_type2_report(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -> Type2Report:
+    """Minimal type-II error at type-I level eps, with its certified bracket.
+
+    One pencil ``eigvalsh`` gives the thresholds where the test rank changes;
+    a binary search over them finds the facet or the interval holding eps.
+    On a facet the randomized test is optimal and is returned, once up to
+    two Newton steps onto the node have brought the dual value to it. Inside
+    an interval the type-I error is continuous in u, and a bracketed inverse
+    quadratic / secant solve, with a bisection step whenever the bracket
+    fails to halve, drives the evaluated thresholds onto eps. The solve stops
+    once ``upper - lower <= max(1e-12 * upper, 1e-15)``, or when the bracket
+    can no longer be split in double precision; the report carries the
+    bracket reached. More than ``MAX_TYPE2_EVALS`` evaluations raise
+    ``ConvergenceError``, and the cost guard refuses inputs whose budget
+    ``MAX_TYPE2_EVALS * dim^3`` exceeds ``MAX_ORACLE_COST``.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"type-I level must lie in (0, 1), got {eps}")
-    family = _TestFamily(rho, sigma)
-    lo, hi = 0.0, 1.0
-    best = family.points_at(lo)[0][1]  # strict test at t = 0 is always feasible
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        (a_s, b_s), (a_i, b_i) = family.points_at(mid)
-        if a_s <= eps:
-            best = min(best, b_s)
+    family = _TestFamily(rho, sigma, MAX_TYPE2_EVALS)
+    nodes = family.candidate_u()
+    br = _Bracket(family, eps)
+    alphas: dict[int, tuple[float, float]] = {}
+
+    def on_facet(k: int) -> bool:
+        alphas[k], step = br.visit(nodes[k])
+        a_s, a_i = alphas[k]
+        if not a_i <= eps <= a_s:
+            return False
+        # the randomized test is optimal; the dual at the node matches it up
+        # to the node's roundoff, which up to two Newton steps remove
+        u = nodes[k]
+        for _ in range(2):
+            if br.certified() or step == 0.0 or not 0.0 < u + step < 1.0:
+                break
+            u += step
+            _, step = br.visit(u)
+        return True
+
+    # adjacent nodes with eps right of the strict test at the lower one and
+    # left of the inclusive test at the upper one; the end nodes u = 0 and
+    # u = 1 are visited only when the search stops beside them
+    lo, hi = 0, len(nodes) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if on_facet(mid):
+            return br.report()
+        if alphas[mid][0] < eps:
             lo = mid
         else:
-            if a_i <= eps < a_s:
-                frac = (a_s - eps) / (a_s - a_i)
-                best = min(best, b_s + frac * (b_i - b_s))
             hi = mid
-        if hi - lo <= 1e-16:
+    for k in (lo, hi):
+        if k not in alphas and on_facet(k):
+            return br.report()
+    # in between, the type-I error is continuous in u: solve alpha(u) = eps
+    u_lo, u_hi = nodes[lo], nodes[hi]
+    pts = [(u_lo, alphas[lo][0] - eps), (u_hi, alphas[hi][1] - eps)]
+    bisect = False
+    while not br.certified():
+        if family.evaluations >= MAX_TYPE2_EVALS:
+            raise ConvergenceError(
+                f"optimal_type2 bracket [{br.lower:.17g}, {br.upper:.17g}] not certified "
+                f"after {family.evaluations} evaluations"
+            )
+        width = u_hi - u_lo
+        u = _split(u_lo, u_hi) if bisect else _interpolate(pts)
+        if not u_lo < u < u_hi:
+            u = _split(u_lo, u_hi)
+            if not u_lo < u < u_hi:
+                break
+        (a_s, a_i), _ = br.visit(u)
+        if a_i <= eps <= a_s:
             break
-    return best
+        # the new point replaces the bracket end on its side, which stays on
+        # as the third interpolation point
+        if a_s < eps:
+            u_lo = u
+            pts = [(u, a_s - eps), pts[1], pts[0]]
+        else:
+            u_hi = u
+            pts = [pts[0], (u, a_i - eps), pts[1]]
+        bisect = u_hi - u_lo > 0.5 * width
+    return br.report()
+
+
+def optimal_type2(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -> float:
+    """Minimal type-II error at type-I level eps, randomized tests allowed.
+
+    The value is the type-II error of an achievable randomized threshold
+    test, within ``max(1e-12 * value, 1e-15)`` of a dual lower bound whenever
+    double precision resolves the frontier at eps (not always so for a
+    rank-deficient rho at eps near the roundoff of its type-I errors);
+    ``optimal_type2_report`` returns the bracket and the evaluation count.
+    """
+    return optimal_type2_report(rho, sigma, eps).value
 
 
 def optimal_type2_hoeffding(rho_n: DensityMatrix, sigma_n: DensityMatrix, r: float, n: int) -> float:
@@ -171,48 +361,85 @@ def _lower_hull(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarr
     return alphas, betas
 
 
+def _sandwich_gap(u_lo: float, p_lo: tuple[float, float], u_hi: float, p_hi: tuple[float, float]) -> float:
+    """Largest height of the chord p_lo-p_hi over the supporting lines at u_lo and u_hi.
+
+    The supporting line at u is (1 - u) alpha + u beta = (1 - u) a + u b
+    through the point (a, b) of that threshold; the frontier between the two
+    points lies below the chord and above both lines, whose intersection is
+    where the chord is highest above them.
+    """
+    (a0, b0), (a1, b1) = p_lo, p_hi
+    if a1 - a0 <= 1e-15:
+        # no type-I level lies between the points: the lower one is exact
+        return 0.0
+    c0 = (1.0 - u_lo) * a0 + u_lo * b0
+    c1 = (1.0 - u_hi) * a1 + u_hi * b1
+    a_x = min(max((u_hi * c0 - u_lo * c1) / (u_hi - u_lo), a0), a1)
+    b_x = (c1 - (1.0 - u_hi) * a_x) / u_hi
+    chord = b0 + (a_x - a0) / (a1 - a0) * (b1 - b0)
+    return max(chord - b_x, 0.0)
+
+
 def error_curve(
     rho: DensityMatrix, sigma: DensityMatrix, refine_tol: float = CURVE_REFINE_TOL
 ) -> ErrorCurve:
     """Achievable (type-I, type-II) frontier as a convex breakpoint polygon.
 
     Strict and inclusive threshold tests are evaluated at every generalized
-    eigenvalue of the pencil, then candidate intervals are subdivided until
-    each chord is within ``refine_tol`` of the frontier (no subdivision
-    triggers for commuting pairs). The point budget caps pathological
-    curvature; ``optimal_type2`` stays exact regardless.
+    eigenvalue of the pencil; each point comes with its supporting line, so
+    between neighbouring points the frontier lies between the chord and the
+    two tangents. The interval with the largest such gap is split first, at
+    the threshold whose tangent is parallel to the chord, until every gap is
+    at most ``refine_tol`` (no split triggers for commuting pairs). Reaching
+    ``MAX_CURVE_POINTS`` evaluations first raises ``ConvergenceError``; an
+    interval too narrow to split in double precision keeps its gap, which
+    ``ErrorCurve.gap`` then reports.
     """
-    family = _TestFamily(rho, sigma)
+    family = _TestFamily(rho, sigma, MAX_CURVE_POINTS)
     u_nodes = family.candidate_u()
     points: list[tuple[float, float]] = [(0.0, 1.0), (1.0, 0.0)]
-    strict_at: dict[float, tuple[float, float]] = {}
+    at: dict[float, tuple[tuple[float, float], tuple[float, float]]] = {}
     for u in u_nodes:
-        strict, incl = family.points_at(u)
-        strict_at[u] = strict
+        strict, incl, _, _ = family.points_at(u)
+        at[u] = strict, incl
         points.extend((strict, incl))
-    stack = [
-        (u_nodes[i], strict_at[u_nodes[i]], u_nodes[i + 1], strict_at[u_nodes[i + 1]])
-        for i in range(len(u_nodes) - 1)
-    ]
-    while stack and len(points) < MAX_CURVE_POINTS:
-        u_lo, p_lo, u_hi, p_hi = stack.pop()
-        if u_hi - u_lo < 1e-12:
+
+    heap: list = []
+    gap = 0.0
+
+    def push(u_lo, p_lo, u_hi, p_hi):
+        nonlocal gap
+        g = _sandwich_gap(u_lo, p_lo, u_hi, p_hi)
+        if g > refine_tol:
+            heapq.heappush(heap, (-g, u_lo, p_lo, u_hi, p_hi))
+        else:
+            gap = max(gap, g)
+
+    for u_lo, u_hi in zip(u_nodes, u_nodes[1:]):
+        # within an interval the strict test at its left node continues into
+        # the inclusive test at its right node
+        push(u_lo, at[u_lo][0], u_hi, at[u_hi][1])
+    while heap:
+        neg_gap, u_lo, p_lo, u_hi, p_hi = heapq.heappop(heap)
+        if family.evaluations >= MAX_CURVE_POINTS:
+            raise ConvergenceError(
+                f"error_curve gap {-neg_gap:.3e} above refine_tol {refine_tol:.1e} "
+                f"after {family.evaluations} threshold evaluations"
+            )
+        # split where the tangent is parallel to the chord (slope -(1 - u) / u),
+        # unless that crowds an end of the interval
+        slope = min((p_hi[1] - p_lo[1]) / (p_hi[0] - p_lo[0]), 0.0)
+        u_mid = 1.0 / (1.0 - slope)
+        margin = 0.01 * (u_hi - u_lo)
+        if not u_lo + margin < u_mid < u_hi - margin:
+            u_mid = 0.5 * (u_lo + u_hi)
+        if not u_lo < u_mid < u_hi:
+            gap = max(gap, -neg_gap)
             continue
-        if p_hi[0] - p_lo[0] <= 1e-12 and p_lo[1] - p_hi[1] <= 1e-12:
-            continue
-        u_mid = 0.5 * (u_lo + u_hi)
-        p_mid, _ = family.points_at(u_mid)
-        points.append(p_mid)
-        da = p_hi[0] - p_lo[0]
-        if da > 1e-15:
-            frac = (p_mid[0] - p_lo[0]) / da
-            if -1e-12 < frac < 1.0 + 1e-12:
-                chord = p_lo[1] + min(max(frac, 0.0), 1.0) * (p_hi[1] - p_lo[1])
-                if chord - p_mid[1] <= refine_tol:
-                    continue
-        elif math.dist(p_mid, p_lo) <= refine_tol and math.dist(p_mid, p_hi) <= refine_tol:
-            continue
-        stack.append((u_lo, p_lo, u_mid, p_mid))
-        stack.append((u_mid, p_mid, u_hi, p_hi))
+        p_mid, p_incl, _, _ = family.points_at(u_mid)
+        points.extend((p_mid, p_incl))
+        push(u_lo, p_lo, u_mid, p_incl)
+        push(u_mid, p_mid, u_hi, p_hi)
     alphas, betas = _lower_hull(points)
-    return ErrorCurve(_frozen(alphas), _frozen(betas))
+    return ErrorCurve(_frozen(alphas), _frozen(betas), gap, family.evaluations)

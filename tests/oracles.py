@@ -120,18 +120,18 @@ def dual_beta_star(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float) -> fl
     coarse grid and polished by ternary search.
     """
 
-    def v(t):
-        w = np.linalg.eigvalsh((rho_mat - t * sigma_mat + (rho_mat - t * sigma_mat).conj().T) / 2)
-        return 1.0 - float(w[w > 0].sum())
+    def v(ts):
+        m = rho_mat[None] - np.atleast_1d(ts)[:, None, None] * sigma_mat[None]
+        w = np.linalg.eigvalsh((m + m.conj().transpose(0, 2, 1)) / 2)
+        return 1.0 - np.where(w > 0, w, 0.0).sum(axis=1)
 
     def g(t):
-        return (v(t) - eps) / t
+        return float(v(t)[0] - eps) / t
 
-    w_s = np.linalg.eigvalsh((sigma_mat + sigma_mat.conj().T) / 2)
     inv = np.linalg.inv(sigma_mat + 1e-13 * np.eye(sigma_mat.shape[0]))
     t_hi = max(2.0, 2.0 * float(np.abs(np.linalg.eigvals(inv @ rho_mat)).max()))
     grid = np.linspace(1e-9, t_hi, 40000)
-    vals = np.array([g(t) for t in grid])
+    vals = (v(grid) - eps) / grid  # the whole grid in one stacked eigvalsh
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
@@ -226,3 +226,41 @@ def kraus_step_by_kron(kraus, tau: np.ndarray, left_dim: int) -> np.ndarray:
         lifted = np.kron(eye, k)
         out = out + lifted @ tau @ lifted.conj().T
     return out
+
+
+def type2_by_bisection(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float) -> float:
+    """Minimal type-II error by 90 bisection steps over the threshold u in [0, 1].
+
+    The test at u projects onto the positive eigenspace of (1 - u) rho - u sigma
+    (eigenvalues within 1e-11 count as zero); when the type-I error jumps over
+    eps, randomizing the zero eigenspace closes the gap.
+    """
+
+    def points_at(u):
+        a = (1.0 - u) * rho_mat - u * sigma_mat
+        w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        diag_rho = np.einsum("ij,jk,ki->i", vecs.conj().T, rho_mat, vecs).real
+        diag_sig = np.einsum("ij,jk,ki->i", vecs.conj().T, sigma_mat, vecs).real
+        tol = 1e-11 * max(u, 1.0 - u)
+        out = []
+        for mask in (w > tol, w > -tol):
+            alpha = min(max(float(1.0 - diag_rho[mask].sum()), 0.0), 1.0)
+            beta = min(max(float(diag_sig[mask].sum()), 0.0), 1.0)
+            out.append((alpha, beta))
+        return out
+
+    lo, hi = 0.0, 1.0
+    best = points_at(lo)[0][1]
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        (a_s, b_s), (a_i, b_i) = points_at(mid)
+        if a_s <= eps:
+            best = min(best, b_s)
+            lo = mid
+        else:
+            if a_i <= eps < a_s:
+                best = min(best, b_s + (a_s - eps) / (a_s - a_i) * (b_i - b_s))
+            hi = mid
+        if hi - lo <= 1e-16:
+            break
+    return best

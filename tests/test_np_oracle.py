@@ -1,23 +1,30 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import classical_beta, classical_np_points, dual_beta_star
+from oracles import classical_beta, classical_np_points, dual_beta_star, type2_by_bisection
 from qhtbounds import (
+    ConvergenceError,
     DomainError,
     ResourceError,
     d_h,
     density_matrix,
     error_curve,
+    from_bloch,
     optimal_type2,
     optimal_type2_hoeffding,
+    optimal_type2_report,
     pure_state,
     random_density,
     rel_entropy,
     tensor_pow,
 )
 from qhtbounds import np_oracle
+
+FIG1_A = (-0.177483, 0.365807, 0.291007)
+FIG1_B = (-0.452239, -0.141906, -0.159193)
 
 
 def diag_state(probs):
@@ -156,11 +163,78 @@ def test_stein_consistency_small_n():
 
 
 def test_dimension_guard(monkeypatch):
-    monkeypatch.setattr(np_oracle, "MAX_ORACLE_DIM", 4)
+    # a cost budget that admits dimension 4 but not 8
+    monkeypatch.setattr(np_oracle, "MAX_ORACLE_COST", np_oracle.MAX_TYPE2_EVALS * 4**3)
     rho = random_density(8, 12)
     sig = random_density(8, 13)
     with pytest.raises(ResourceError):
         optimal_type2(rho, sig, 0.1)
+
+
+def test_cost_guard_refuses_before_touching_a_matrix():
+    # stand-ins that carry only a dimension: the guard must fire first
+    for dim, call in ((4096, lambda a: optimal_type2(a, a, 0.1)), (256, lambda a: error_curve(a, a))):
+        with pytest.raises(ResourceError):
+            call(SimpleNamespace(dim=dim))
+    with pytest.raises(AttributeError):  # dimension 1024 passes the guard
+        optimal_type2(SimpleNamespace(dim=1024), SimpleNamespace(dim=1024), 0.1)
+
+
+def _certified_cases():
+    cases = [(f"random d={d}", random_density(d, 10 + d), random_density(d, 100 + d)) for d in (2, 3, 4, 8, 16, 32)]
+    for k in (3, 5):
+        cases.append((f"fig1 pair ^{k}", tensor_pow(from_bloch(FIG1_A), k), tensor_pow(from_bloch(FIG1_B), k)))
+    cases.append(("commuting ^5", tensor_pow(diag_state([0.7, 0.3]), 5), tensor_pow(diag_state([0.4, 0.6]), 5)))
+    proj = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    m = proj @ random_density(4, 5).matrix @ proj
+    cases.append(("singular sigma", random_density(4, 6), density_matrix(m / np.trace(m).real)))
+    cases.append(("orthogonal pure states", pure_state([1, 0]), pure_state([0, 1])))
+    return cases
+
+
+CERTIFIED_CASES = _certified_cases()
+
+
+@pytest.mark.parametrize("name,rho,sig", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
+def test_optimal_type2_certified_against_bisection(name, rho, sig):
+    for eps in (1e-12, 0.01, 0.5, 1.0 - 1e-9):
+        rep = optimal_type2_report(rho, sig, eps)
+        width = max(1e-12 * rep.upper, 1e-15)
+        assert rep.value == rep.upper == optimal_type2(rho, sig, eps)
+        assert abs(rep.upper - rep.lower) <= width, (eps, rep)
+        assert rep.evaluations <= 60, (eps, rep)
+        assert abs(rep.value - type2_by_bisection(rho.matrix, sig.matrix, eps)) <= 1e-12, (eps, rep)
+
+
+def test_optimal_type2_rank_deficient_rho():
+    # near u = 0 the frontier's slope -(1 - u) / u amplifies the roundoff of
+    # the type-I errors, so at eps = 1e-12 only the reference agreement holds
+    rho, sig = pure_state([0.6, 0.8]), random_density(2, 3)
+    for eps in (1e-12, 0.01, 0.5):
+        rep = optimal_type2_report(rho, sig, eps)
+        ref = type2_by_bisection(rho.matrix, sig.matrix, eps)
+        assert rep.evaluations <= 60
+        if eps == 1e-12:
+            assert abs(rep.value - ref) <= 1e-10
+        else:
+            assert abs(rep.upper - rep.lower) <= max(1e-12 * rep.upper, 1e-15)
+            assert abs(rep.value - ref) <= 1e-12
+
+
+def test_curve_meets_its_tolerance_on_the_dim8_pair():
+    rho = tensor_pow(from_bloch(FIG1_A), 3)
+    sig = tensor_pow(from_bloch(FIG1_B), 3)
+    cur = error_curve(rho, sig)
+    assert cur.gap <= np_oracle.CURVE_REFINE_TOL
+    assert cur.points <= np_oracle.MAX_CURVE_POINTS
+    excess = [cur.beta_at(e) - optimal_type2(rho, sig, e) for e in np.linspace(0.01, 0.99, 99)]
+    assert max(excess) <= np_oracle.CURVE_REFINE_TOL
+    assert min(excess) >= -1e-12
+
+
+def test_curve_too_tight_tolerance_raises():
+    with pytest.raises(ConvergenceError):
+        error_curve(random_density(2, 21), random_density(2, 22), refine_tol=1e-13)
 
 
 def test_dimension_mismatch():
