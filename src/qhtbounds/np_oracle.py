@@ -16,8 +16,9 @@ line of the frontier with slope -(1 - u) / u, whose value at a type-I level
 eps is the dual value of the hypothesis-testing SDP,
 [(1 - u)(1 - eps) - Tr((1 - u) rho - u sigma)_+] / u, a lower bound on the
 optimal type-II error. ``optimal_type2`` closes the gap between that lower
-bound and the best randomized test found by a bracketed root solve;
-``error_curve`` refines the chord/tangent sandwich of the whole frontier.
+bound and the best randomized test found by a bracketed root solve, to
+``max(1e-12 * value, 1e-15)`` or a ``ConvergenceError``; ``error_curve``
+refines the chord/tangent sandwich of the whole frontier.
 """
 
 from __future__ import annotations
@@ -79,15 +80,25 @@ class Type2Report:
 
     ``upper`` is the type-II error of a randomized test of type-I error at
     most eps that was found; ``lower`` is the best dual value, a lower bound
-    on the optimum up to roundoff (it can exceed ``upper`` by a few units in
-    the last place); ``value`` equals ``upper``. ``evaluations`` counts the
-    threshold eigendecompositions, besides the one pencil ``eigvalsh``.
+    on the optimum up to roundoff; ``value`` equals ``upper``. The two lie
+    within ``max(1e-12 * upper, 1e-15)`` of each other on either side (a
+    lower end a few units in the last place above the upper one is
+    roundoff). ``evaluations`` counts the threshold eigendecompositions,
+    besides the one pencil ``eigvalsh``.
     """
 
     value: float
     lower: float
     upper: float
     evaluations: int
+
+
+def _root_factor(state: DensityMatrix) -> np.ndarray:
+    """F with F^dag F equal to the state, built from its spectrum; eigenvalues
+    within the eigensolver's roundoff of zero count as zero."""
+    w = state.eigenvalues
+    floor = w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    return np.sqrt(np.where(w > floor, w, 0.0))[:, None] * state.eigenvectors.conj().T
 
 
 class _TestFamily:
@@ -104,35 +115,45 @@ class _TestFamily:
             )
         self.rho = rho.matrix
         self.sigma = sigma.matrix
-        self._both = np.hstack((rho.matrix, sigma.matrix))
+        self._roots = np.vstack([_root_factor(rho), _root_factor(sigma)])
         self._sigma_dm = sigma
         self.evaluations = 0
 
-    def points_at(self, u: float) -> tuple[tuple[float, float], tuple[float, float], float, float]:
-        """Error pairs (strict, inclusive) of the threshold test at u, the sum
-        of the positive eigenvalues the strict test leaves out, and the Newton
-        step from u to where the near-zero eigenvalues vanish.
+    def points_at(self, u: float, node: bool) -> tuple[tuple[float, float], tuple[float, float], float]:
+        """Error pairs (strict, inclusive) of the threshold tests at u, and the
+        positive eigenvalue mass of (1 - u) rho - u sigma the strict test may
+        leave out.
+
+        At a node (``node=True``) eigenvalues within ``ZERO_EIG_TOL`` of zero
+        count as zero: the strict test leaves them out, the inclusive one
+        takes them in. Between nodes no eigenvalue should be that small and
+        both tests cut at exactly zero; an eigenvalue within the eigensolver's
+        roundoff of zero there (near u = 0 for a rank-deficient rho) has an
+        unresolved sign, so that roundoff is added to the mass left out.
 
         Each error is summed over the eigenvectors it counts, never as one
-        minus the rest, so small errors keep their relative precision.
+        minus the rest, and each term is a squared norm, so small errors keep
+        their relative precision.
         """
         # a real combination of Hermitian matrices: eigh needs no check
         w, vecs = np.linalg.eigh((1.0 - u) * self.rho - u * self.sigma)
         self.evaluations += 1
-        # diagonals of V^dag rho V and V^dag sigma V from one product
+        # <v|rho|v> = |rho^(1/2) v|^2 and <v|sigma|v> from one product
         d = w.size
-        diags = ((vecs.conj().T @ self._both).reshape(d, 2, d) * vecs.T[:, None, :]).sum(axis=2).real
-        tol = ZERO_EIG_TOL * max(u, 1.0 - u)
+        fv = self._roots @ vecs
+        diags = (fv.real**2 + fv.imag**2).reshape(2, d, d).sum(axis=1)
+        tol = ZERO_EIG_TOL * max(u, 1.0 - u) if node else 0.0
         k_pos, k_strict, k_incl = np.searchsorted(w, (0.0, tol, -tol), side="right")
         out = []
         for k in (k_strict, k_incl):
-            alpha = min(max(float(diags[:k, 0].sum()), 0.0), 1.0)
-            beta = min(max(float(diags[k:, 1].sum()), 0.0), 1.0)
+            alpha = min(float(diags[0, :k].sum()), 1.0)
+            beta = min(float(diags[1, k:].sum()), 1.0)
             out.append((alpha, beta))
-        # d/du of an eigenvalue is -<v|rho + sigma|v>
-        slope = float(diags[k_incl:k_strict].sum())
-        step = float(w[k_incl:k_strict].sum()) / slope if slope > 0.0 else 0.0
-        return out[0], out[1], float(w[k_pos:k_strict].sum()), step
+        left_out = float(w[k_pos:k_strict].sum())
+        if not node:
+            roundoff = d * np.finfo(float).eps * max(-w[0], w[-1])
+            left_out += roundoff * np.count_nonzero(np.abs(w) < roundoff)
+        return out[0], out[1], left_out
 
     def candidate_u(self) -> list[float]:
         mu = np.maximum(self._sigma_dm.eigenvalues, 1e-14)
@@ -163,10 +184,9 @@ class _Bracket:
         self.infeasible = (1.0, 0.0)
         self.upper = 1.0 - eps
 
-    def visit(self, u: float) -> tuple[tuple[float, float], float]:
-        """Evaluate the threshold tests at u; return their type-I errors
-        (strict, inclusive) and the Newton step onto the nearby node."""
-        strict, incl, left_out, step = self.family.points_at(u)
+    def visit(self, u: float, node: bool) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Evaluate the threshold tests at u and return their error pairs (strict, inclusive)."""
+        strict, incl, left_out = self.family.points_at(u, node)
         eps = self.eps
         if u > 0.0:
             # the dual value [(1 - u)(1 - eps) - Tr((1 - u) rho - u sigma)_+] / u,
@@ -183,12 +203,22 @@ class _Bracket:
         (a_f, b_f), (a_x, b_x) = self.feasible, self.infeasible
         lam = (a_x - eps) / (a_x - a_f)
         self.upper = min(self.upper, lam * b_f + (1.0 - lam) * b_x)
-        return (strict[0], incl[0]), step
+        return strict, incl
+
+    def width(self) -> float:
+        return max(TYPE2_REL_WIDTH * self.upper, TYPE2_ABS_WIDTH)
 
     def certified(self) -> bool:
-        return self.upper - self.lower <= max(TYPE2_REL_WIDTH * self.upper, TYPE2_ABS_WIDTH)
+        # both sides: a lower end above the upper one is roundoff just the same
+        return abs(self.upper - self.lower) <= self.width()
 
     def report(self) -> Type2Report:
+        """The certified bracket; ``ConvergenceError`` if it is not certified."""
+        if not self.certified():
+            raise ConvergenceError(
+                f"optimal_type2 at eps {self.eps:.3g}: bracket [{self.lower:.17g}, {self.upper:.17g}] "
+                f"not within {self.width():.1e} after {self.family.evaluations} evaluations"
+            )
         return Type2Report(self.upper, self.lower, self.upper, self.family.evaluations)
 
 
@@ -222,16 +252,17 @@ def optimal_type2_report(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -
 
     One pencil ``eigvalsh`` gives the thresholds where the test rank changes;
     a binary search over them finds the facet or the interval holding eps.
-    On a facet the randomized test is optimal and is returned, once up to
-    two Newton steps onto the node have brought the dual value to it. Inside
-    an interval the type-I error is continuous in u, and a bracketed inverse
-    quadratic / secant solve, with a bisection step whenever the bracket
-    fails to halve, drives the evaluated thresholds onto eps. The solve stops
-    once ``upper - lower <= max(1e-12 * upper, 1e-15)``, or when the bracket
-    can no longer be split in double precision; the report carries the
-    bracket reached. More than ``MAX_TYPE2_EVALS`` evaluations raise
-    ``ConvergenceError``, and the cost guard refuses inputs whose budget
-    ``MAX_TYPE2_EVALS * dim^3`` exceeds ``MAX_ORACLE_COST``.
+    On a facet the randomized test is optimal and is returned; one step to
+    the threshold whose supporting line is the facet brings the dual value
+    to it when the node's roundoff keeps them apart. Inside an interval the
+    type-I error is continuous in u, and a bracketed inverse quadratic /
+    secant solve, with a bisection step whenever the bracket fails to halve,
+    drives the evaluated thresholds onto eps. The report is returned once
+    ``|upper - lower| <= max(1e-12 * upper, 1e-15)``. A bracket that is
+    still wider after ``MAX_TYPE2_EVALS`` evaluations, or when the interval
+    can no longer be split in double precision, raises ``ConvergenceError``.
+    The cost guard refuses inputs whose budget ``MAX_TYPE2_EVALS * dim^3``
+    exceeds ``MAX_ORACLE_COST``.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"type-I level must lie in (0, 1), got {eps}")
@@ -241,18 +272,17 @@ def optimal_type2_report(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -
     alphas: dict[int, tuple[float, float]] = {}
 
     def on_facet(k: int) -> bool:
-        alphas[k], step = br.visit(nodes[k])
-        a_s, a_i = alphas[k]
+        (a_s, b_s), (a_i, b_i) = br.visit(nodes[k], node=True)
+        alphas[k] = a_s, a_i
         if not a_i <= eps <= a_s:
             return False
-        # the randomized test is optimal; the dual at the node matches it up
-        # to the node's roundoff, which up to two Newton steps remove
-        u = nodes[k]
-        for _ in range(2):
-            if br.certified() or step == 0.0 or not 0.0 < u + step < 1.0:
-                break
-            u += step
-            _, step = br.visit(u)
+        # the randomized test is optimal, and the dual at the node matches it
+        # up to the node's roundoff; the facet's slope -(1 - u) / u gives the
+        # exact node (a Newton step on the eigenvalues that vanish there)
+        if not br.certified() and a_s > a_i:
+            u = (a_s - a_i) / ((a_s - a_i) + (b_i - b_s))
+            if 0.0 < u < 1.0:
+                br.visit(u, node=True)
         return True
 
     # adjacent nodes with eps right of the strict test at the lower one and
@@ -270,33 +300,27 @@ def optimal_type2_report(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -
     for k in (lo, hi):
         if k not in alphas and on_facet(k):
             return br.report()
-    # in between, the type-I error is continuous in u: solve alpha(u) = eps
+    # in between, no eigenvalue crosses zero and the type-I error of the test
+    # at threshold exactly 0 is continuous in u: solve alpha(u) = eps
     u_lo, u_hi = nodes[lo], nodes[hi]
     pts = [(u_lo, alphas[lo][0] - eps), (u_hi, alphas[hi][1] - eps)]
     bisect = False
-    while not br.certified():
-        if family.evaluations >= MAX_TYPE2_EVALS:
-            raise ConvergenceError(
-                f"optimal_type2 bracket [{br.lower:.17g}, {br.upper:.17g}] not certified "
-                f"after {family.evaluations} evaluations"
-            )
+    while not br.certified() and family.evaluations < MAX_TYPE2_EVALS:
         width = u_hi - u_lo
         u = _split(u_lo, u_hi) if bisect else _interpolate(pts)
         if not u_lo < u < u_hi:
             u = _split(u_lo, u_hi)
             if not u_lo < u < u_hi:
                 break
-        (a_s, a_i), _ = br.visit(u)
-        if a_i <= eps <= a_s:
-            break
+        (a, _), _ = br.visit(u, node=False)
         # the new point replaces the bracket end on its side, which stays on
         # as the third interpolation point
-        if a_s < eps:
+        if a < eps:
             u_lo = u
-            pts = [(u, a_s - eps), pts[1], pts[0]]
+            pts = [(u, a - eps), pts[1], pts[0]]
         else:
             u_hi = u
-            pts = [pts[0], (u, a_i - eps), pts[1]]
+            pts = [pts[0], (u, a - eps), pts[1]]
         bisect = u_hi - u_lo > 0.5 * width
     return br.report()
 
@@ -305,10 +329,10 @@ def optimal_type2(rho: DensityMatrix, sigma: DensityMatrix, eps: float) -> float
     """Minimal type-II error at type-I level eps, randomized tests allowed.
 
     The value is the type-II error of an achievable randomized threshold
-    test, within ``max(1e-12 * value, 1e-15)`` of a dual lower bound whenever
-    double precision resolves the frontier at eps (not always so for a
-    rank-deficient rho at eps near the roundoff of its type-I errors);
-    ``optimal_type2_report`` returns the bracket and the evaluation count.
+    test, within ``max(1e-12 * value, 1e-15)`` of a dual lower bound; when
+    the solve cannot certify that width it raises ``ConvergenceError``
+    rather than return an uncertified value. ``optimal_type2_report``
+    returns the bracket and the evaluation count.
     """
     return optimal_type2_report(rho, sigma, eps).value
 
@@ -401,7 +425,7 @@ def error_curve(
     points: list[tuple[float, float]] = [(0.0, 1.0), (1.0, 0.0)]
     at: dict[float, tuple[tuple[float, float], tuple[float, float]]] = {}
     for u in u_nodes:
-        strict, incl, _, _ = family.points_at(u)
+        strict, incl, _ = family.points_at(u, node=True)
         at[u] = strict, incl
         points.extend((strict, incl))
 
@@ -437,9 +461,10 @@ def error_curve(
         if not u_lo < u_mid < u_hi:
             gap = max(gap, -neg_gap)
             continue
-        p_mid, p_incl, _, _ = family.points_at(u_mid)
-        points.extend((p_mid, p_incl))
-        push(u_lo, p_lo, u_mid, p_incl)
+        # no node inside: the test at threshold exactly 0 is the frontier point
+        p_mid, _, _ = family.points_at(u_mid, node=False)
+        points.append(p_mid)
+        push(u_lo, p_lo, u_mid, p_mid)
         push(u_mid, p_mid, u_hi, p_hi)
     alphas, betas = _lower_hull(points)
     return ErrorCurve(_frozen(alphas), _frozen(betas), gap, family.evaluations)

@@ -264,3 +264,21 @@ def type2_by_bisection(rho_mat: np.ndarray, sigma_mat: np.ndarray, eps: float) -
         if hi - lo <= 1e-16:
             break
     return best
+
+
+def pure_qubit_type2(psi, sigma_mat: np.ndarray, eps: float) -> float:
+    """Minimal type-II error of a pure qubit rho = |psi><psi| against sigma, in closed form.
+
+    Before the frontier's last facet the optimal test projects onto a unit
+    vector phi with |<psi|phi>|^2 = 1 - eps. In the basis (psi, psi_perp),
+    minimising <phi|sigma|phi> over the phase of phi's psi_perp component
+    gives (1 - eps) s11 + eps s22 - 2 sqrt(eps (1 - eps)) |s12|. Valid for eps
+    below the type-I error where that facet starts (small eps).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    perp = np.array([-psi[1].conj(), psi[0].conj()])
+    s11 = (psi.conj() @ sigma_mat @ psi).real
+    s22 = (perp.conj() @ sigma_mat @ perp).real
+    s12 = abs(psi.conj() @ sigma_mat @ perp)
+    return float((1.0 - eps) * s11 + eps * s22 - 2.0 * math.sqrt(eps * (1.0 - eps)) * s12)

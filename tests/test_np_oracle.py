@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import classical_beta, classical_np_points, dual_beta_star, type2_by_bisection
+from oracles import classical_beta, classical_np_points, dual_beta_star, pure_qubit_type2, type2_by_bisection
 from qhtbounds import (
     ConvergenceError,
     DomainError,
@@ -207,18 +207,49 @@ def test_optimal_type2_certified_against_bisection(name, rho, sig):
 
 
 def test_optimal_type2_rank_deficient_rho():
-    # near u = 0 the frontier's slope -(1 - u) / u amplifies the roundoff of
-    # the type-I errors, so at eps = 1e-12 only the reference agreement holds
+    # near u = 0 the dual value divides by u, so the type-I errors must keep
+    # their relative precision down to eps = 1e-20. Below eps = 0.01 the closed
+    # form is the reference: the bisection takes its type-I errors as one
+    # minus the rest and is off by 2e-11 at eps = 1e-12 here.
+    psi = [0.6, 0.8]
+    rho = pure_state(psi)
+    for seed in (3, 7):
+        sig = random_density(2, seed)
+        for eps in (1e-20, 1e-12, 1e-6, 0.01, 0.5):
+            rep = optimal_type2_report(rho, sig, eps)
+            assert abs(rep.upper - rep.lower) <= max(1e-12 * rep.upper, 1e-15), (seed, eps, rep)
+            assert rep.evaluations <= 60, (seed, eps, rep)
+            if eps <= 0.01:
+                assert abs(rep.value - pure_qubit_type2(psi, sig.matrix, eps)) <= 1e-12, (seed, eps, rep)
+            if eps >= 0.01:
+                assert abs(rep.value - type2_by_bisection(rho.matrix, sig.matrix, eps)) <= 1e-12, (seed, eps, rep)
+    # pure states in higher dimension: certified at every level
+    for d in (3, 8):
+        rng = np.random.default_rng(d)
+        rho = pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        sig = random_density(d, d)
+        for eps in (1e-20, 1e-12, 0.01, 0.5):
+            rep = optimal_type2_report(rho, sig, eps)
+            assert abs(rep.upper - rep.lower) <= max(1e-12 * rep.upper, 1e-15), (d, eps, rep)
+            assert rep.evaluations <= 60, (d, eps, rep)
+            if eps >= 0.01:
+                assert abs(rep.value - type2_by_bisection(rho.matrix, sig.matrix, eps)) <= 1e-12, (d, eps, rep)
+
+
+def test_optimal_type2_uncertified_bracket_raises(monkeypatch):
+    # a lower end above the upper one is no certificate either
+    family = np_oracle._TestFamily(random_density(2, 1), random_density(2, 2), 1)
+    br = np_oracle._Bracket(family, 0.1)
+    br.lower, br.upper = 0.5 + 1e-9, 0.5
+    assert not br.certified()
+    with pytest.raises(ConvergenceError):
+        br.report()
+    # a bracket still open when the evaluation budget runs out raises
     rho, sig = pure_state([0.6, 0.8]), random_density(2, 3)
-    for eps in (1e-12, 0.01, 0.5):
-        rep = optimal_type2_report(rho, sig, eps)
-        ref = type2_by_bisection(rho.matrix, sig.matrix, eps)
-        assert rep.evaluations <= 60
-        if eps == 1e-12:
-            assert abs(rep.value - ref) <= 1e-10
-        else:
-            assert abs(rep.upper - rep.lower) <= max(1e-12 * rep.upper, 1e-15)
-            assert abs(rep.value - ref) <= 1e-12
+    assert optimal_type2_report(rho, sig, 1e-12).evaluations > 2
+    monkeypatch.setattr(np_oracle, "MAX_TYPE2_EVALS", 2)
+    with pytest.raises(ConvergenceError):
+        optimal_type2(rho, sig, 1e-12)
 
 
 def test_curve_meets_its_tolerance_on_the_dim8_pair():
