@@ -27,11 +27,15 @@ class DensityMatrix:
 
     The eigendecomposition is computed once at construction and shared by all
     consumers; instances are immutable and safe to pass between threads.
+    ``factors`` lists, in order, the tensor factors of a state built by
+    ``product_state``; nested products are flattened, so no factor is itself
+    a product. Every other constructor leaves it empty.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    factors: tuple[DensityMatrix, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -58,7 +62,8 @@ def density_matrix(m, *, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL)
 
 
 def _from_eigensystem(w: np.ndarray, u: np.ndarray) -> DensityMatrix:
-    # Trusted path for tensor constructions; factors were already validated.
+    # Trusted path for a state known by its eigensystem (Gibbs states): the
+    # spectrum is valid by construction, so no eigh is repeated.
     order = np.argsort(w, kind="stable")
     w = np.asarray(w, dtype=float)[order]
     u = np.asarray(u, dtype=complex)[:, order]
@@ -124,7 +129,15 @@ def _check_budget(dim: int, max_dim: int) -> None:
 
 
 def product_state(factors: Sequence[DensityMatrix], max_dim: int = DEFAULT_DIM_BUDGET) -> DensityMatrix:
-    """Tensor product of validated states, spectrum assembled factor-wise."""
+    """Tensor product of validated states, assembled factor-wise.
+
+    The matrix is the Kronecker product of the factor matrices (exactly
+    Hermitian, as they are); eigenvalues and eigenvectors are Kronecker
+    products of the factors' ones, sorted ascending. The result records its
+    factors, with nested products flattened, so that consumers such as
+    ``relative_modular_measure`` can work copy by copy. One factor is
+    returned as is.
+    """
     if not factors:
         raise DomainError("product_state needs at least one factor")
     if len(factors) == 1:
@@ -133,12 +146,14 @@ def product_state(factors: Sequence[DensityMatrix], max_dim: int = DEFAULT_DIM_B
     for f in factors:
         dim *= f.dim
     _check_budget(dim, max_dim)
-    w = factors[0].eigenvalues
-    u = factors[0].eigenvectors
+    m, w, u = factors[0].matrix, factors[0].eigenvalues, factors[0].eigenvectors
     for f in factors[1:]:
+        m = kron(m, f.matrix)
         w = np.kron(w, f.eigenvalues)
         u = kron(u, f.eigenvectors)
-    return _from_eigensystem(w, u)
+    order = np.argsort(w, kind="stable")
+    flat = tuple(g for f in factors for g in (f.factors or (f,)))
+    return DensityMatrix(_frozen(m), _frozen(w[order]), _frozen(u[:, order]), flat)
 
 
 def tensor_pow(rho: DensityMatrix, n: int, max_dim: int = DEFAULT_DIM_BUDGET) -> DensityMatrix:

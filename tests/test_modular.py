@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import classical_llr_atoms, classical_tail
 from qhtbounds import (
+    DomainError,
     SupportError,
     density_matrix,
     from_bloch,
@@ -21,6 +23,7 @@ from qhtbounds import (
     relative_modular_measure,
     sup_norm_c,
     tail,
+    tensor_pow,
 )
 from qhtbounds.modular import point_mass
 
@@ -129,7 +132,10 @@ def test_product_measure_point_mass_neutral():
 def test_product_measure_matches_tensor_pair():
     rho1, sig1 = random_density(2, 9), random_density(2, 10)
     rho2, sig2 = random_density(3, 11), random_density(3, 12)
-    direct = relative_modular_measure(product_state([rho1, rho2]), product_state([sig1, sig2]))
+    # states built from the Kronecker matrices carry no factors: dense path
+    direct = relative_modular_measure(
+        density_matrix(np.kron(rho1.matrix, rho2.matrix)), density_matrix(np.kron(sig1.matrix, sig2.matrix))
+    )
     conv = product_measure(
         relative_modular_measure(rho1, sig1), relative_modular_measure(rho2, sig2)
     )
@@ -138,6 +144,71 @@ def test_product_measure_matches_tensor_pair():
     for thr in grid:
         assert abs(tail(direct, thr) - tail(conv, thr)) <= 1e-10
     assert abs(direct.mean - conv.mean) <= 1e-10
+
+
+def dense_copy(state):
+    """The same state without its recorded factors, so it takes the dense path."""
+    return replace(state, factors=())
+
+
+def assert_same_measure(fast, dense):
+    assert len(fast.locations) == len(dense.locations)
+    assert np.abs(fast.locations - dense.locations).max() <= 1e-12
+    assert np.abs(fast.weights - dense.weights).max() <= 1e-14
+
+
+def factor_pairs():
+    rho, sig = from_bloch(FIG1_A), from_bloch(FIG1_B)
+    for k in (2, 4, 6):
+        yield [(rho, sig)] * k
+    yield [
+        (random_density(2, 101), random_density(2, 102)),
+        (random_density(3, 103), random_density(3, 104)),
+        (random_density(2, 105), random_density(2, 106)),
+    ]
+
+
+@pytest.mark.parametrize("pairs", list(factor_pairs()), ids=["fig1^2", "fig1^4", "fig1^6", "2x3x2"])
+def test_factor_path_matches_dense_path(pairs):
+    rho = product_state([a for a, _ in pairs])
+    sig = product_state([b for _, b in pairs])
+    fast = relative_modular_measure(rho, sig)
+    assert_same_measure(fast, relative_modular_measure(dense_copy(rho), dense_copy(sig)))
+    d = sum(rel_entropy(a, b) for a, b in pairs)
+    v = sum(info_variance(a, b) for a, b in pairs)
+    assert abs(fast.total_weight - 1.0) <= 1e-10
+    assert abs(fast.mean + d) <= 1e-9
+    assert abs(fast.variance - v) <= 1e-9
+    assert abs(measure_mgf(fast, 1.0) - 1.0) <= 1e-10
+
+
+def test_factor_path_judges_faithfulness_on_the_product():
+    # factor spectrum (1 - 1e-4, 1e-4): the 4th tensor power has minimum eigenvalue 1e-16
+    u = random_density(2, 111).eigenvectors
+    thin = density_matrix(u @ np.diag([1e-4, 1.0 - 1e-4]) @ u.conj().T)
+    assert abs(thin.min_eigenvalue - 1e-4) <= 1e-15
+    rho, sig = tensor_pow(thin, 4), tensor_pow(random_density(2, 112), 4)
+    assert rho.min_eigenvalue <= 1e-12
+    with pytest.raises(SupportError):
+        relative_modular_measure(rho, sig)
+    fast = relative_modular_measure(rho, sig, regularization=1e-10)
+    dense = relative_modular_measure(dense_copy(rho), dense_copy(sig), regularization=1e-10)
+    assert np.array_equal(fast.locations, dense.locations)
+    assert np.array_equal(fast.weights, dense.weights)
+
+
+def test_mismatched_factorizations_take_the_dense_path():
+    a2, b3, c3, d2 = (random_density(dim, s) for dim, s in ((2, 121), (3, 122), (3, 123), (2, 124)))
+    q4, r2 = random_density(4, 125), random_density(2, 126)
+    for rho, sig in (
+        (product_state([a2, b3]), product_state([c3, d2])),
+        (product_state([a2, d2, a2]), product_state([q4, r2])),
+        (product_state([a2, b3]), density_matrix(np.kron(d2.matrix, c3.matrix))),
+    ):
+        got = relative_modular_measure(rho, sig)
+        want = relative_modular_measure(dense_copy(rho), dense_copy(sig))
+        assert np.array_equal(got.locations, want.locations)
+        assert np.array_equal(got.weights, want.weights)
 
 
 def test_product_measure_mean_adds():
@@ -171,6 +242,20 @@ def test_threshold_test_contract():
             if not 0.0 < eps < 1.0:
                 continue
             assert optimal_type2(rho, sig, eps) <= math.exp(-log_l) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "locations, weights",
+    [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [0.5, math.inf]),
+    ],
+)
+def test_measure_from_atoms_rejects_non_finite(locations, weights):
+    with pytest.raises(DomainError):
+        measure_from_atoms(locations, weights)
 
 
 def test_clustering_merges_and_keeps_tiny_weights():

@@ -3,8 +3,10 @@ import pytest
 
 from qhtbounds import (
     DomainError,
+    GibbsChain,
     InvalidStateError,
     ResourceError,
+    build_gibbs,
     density_matrix,
     from_bloch,
     maximally_mixed,
@@ -134,6 +136,33 @@ def test_product_state_unit_trace_random_triples():
     out = product_state(factors)
     assert np.isclose(np.trace(out.matrix).real, 1.0, atol=1e-12)
     assert out.eigenvalues[0] >= -1e-12
+
+
+def test_product_state_matrix_is_kron_and_records_factors():
+    a, b, c = random_density(2, 14), random_density(3, 15), random_density(2, 16)
+    ab = product_state([a, b])
+    assert np.array_equal(ab.matrix, np.kron(a.matrix, b.matrix))
+    assert np.array_equal(ab.matrix, ab.matrix.conj().T)
+    assert all(x is y for x, y in zip(ab.factors, (a, b))) and len(ab.factors) == 2
+    nested = product_state([ab, c])
+    assert np.array_equal(nested.matrix, np.kron(ab.matrix, c.matrix))
+    assert np.array_equal(nested.matrix, nested.matrix.conj().T)
+    assert len(nested.factors) == 3 and all(x is y for x, y in zip(nested.factors, (a, b, c)))
+    assert np.all(np.diff(nested.eigenvalues) >= 0.0)
+    assert tensor_pow(a, 3).factors == (a, a, a)
+    assert tensor_pow(a, 1) is a
+
+
+def test_non_product_states_have_no_factors():
+    rho = random_density(2, 17)
+    chain = GibbsChain(2, np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex), 0.3)
+    for state in (
+        rho,
+        density_matrix(np.kron(rho.matrix, rho.matrix)),
+        regularized(product_state([rho, rho]), 1e-3),
+        build_gibbs(chain, 3),
+    ):
+        assert state.factors == ()
 
 
 def test_pure_state():
