@@ -24,7 +24,7 @@ from .states import DensityMatrix
 Pair = tuple[DensityMatrix, DensityMatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """One evaluated bound on log beta_n, with its ingredients."""
 

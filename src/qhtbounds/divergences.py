@@ -37,13 +37,17 @@ def _check_support(rho: DensityMatrix, sigma: DensityMatrix, overlap: np.ndarray
     """Return sigma's support mask; reject rho-mass on sigma's null space."""
     support = sigma.eigenvalues > SUPPORT_TOL
     if not support.all():
-        null_mass = float(rho.eigenvalues @ overlap[:, ~support].sum(axis=1))
-        if null_mass > 1e-10:
-            raise SupportError(
-                f"support violation: state carries mass {null_mass:.3e} outside "
-                "the reference support (pass a regularization to proceed)"
-            )
+        _reject_null_mass(float(rho.eigenvalues @ overlap[:, ~support].sum(axis=1)))
     return support
+
+
+def _reject_null_mass(null_mass: float) -> None:
+    """Raise if a state's mass outside the reference support is not roundoff."""
+    if null_mass > 1e-10:
+        raise SupportError(
+            f"support violation: state carries mass {null_mass:.3e} outside "
+            "the reference support (pass a regularization to proceed)"
+        )
 
 
 def _xlogx(w: np.ndarray) -> np.ndarray:

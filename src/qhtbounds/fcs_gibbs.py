@@ -46,7 +46,7 @@ def _complex_matrix(entries, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratingTriple:
     """Kernel data for a memory-built family on a spin chain.
 
@@ -114,7 +114,7 @@ class GeneratingTriple:
         return self.chain_state(self.apply_step(step, self.rho_aux.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutativeTriple(GeneratingTriple):
     """Generating triple over a commutative auxiliary algebra.
 
@@ -130,7 +130,7 @@ class CommutativeTriple(GeneratingTriple):
     lower_condition: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsChain:
     """Nearest-neighbour chain with a two-site interaction at inverse temperature beta."""
 

@@ -23,7 +23,7 @@ from .states import DensityMatrix
 CLUSTER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Finite atomic measure on the real line, locations strictly increasing."""
 
@@ -52,7 +52,7 @@ def _cluster(locations: np.ndarray, weights: np.ndarray, tol: float = CLUSTER_TO
     out_w: list[float] = []
     start = 0
     for i in range(1, loc.size + 1):
-        if i == loc.size or loc[i] - loc[i - 1] > tol:
+        if i == loc.size or loc[i] - loc[start] > tol:
             w = wts[start:i]
             total = float(w.sum())
             # atoms of exactly zero weight carry no mass and are dropped;
@@ -85,9 +85,10 @@ def relative_modular_measure(
 ) -> SpectralMeasure:
     """Atomic law of the relative modular log-likelihood variable.
 
-    Atoms within 1e-9 of each other are merged by weight addition (the merged
-    location is the weight-averaged one); weights are never pruned, however
-    small, since tail inequalities are support sensitive.
+    Atoms are merged by weight addition into clusters that each hold every
+    atom within 1e-9 above the cluster's lowest one, so no cluster spans more
+    than 1e-9 (the merged location is the weight-averaged one); weights are
+    never pruned, however small, since tail inequalities are support sensitive.
 
     Faithfulness is judged on the (possibly regularized) states themselves.
     When both are products from ``product_state`` whose factors have

@@ -45,7 +45,7 @@ MAX_CURVE_POINTS = 20_000
 MAX_ORACLE_COST = 1e11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorCurve:
     """Breakpoints of the optimal error trade-off, convex lower envelope.
 

@@ -21,7 +21,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A positive semidefinite unit-trace Hermitian matrix with its spectrum.
 
@@ -53,12 +53,17 @@ def density_matrix(m, *, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL)
     """Validate a matrix as a quantum state and cache its eigendecomposition."""
     a = check_hermitian(m)
     w, u = np.linalg.eigh(a)
+    _check_spectrum(w, psd_tol=psd_tol, trace_tol=trace_tol)
+    return DensityMatrix(_frozen(a), _frozen(w), _frozen(u))
+
+
+def _check_spectrum(w: np.ndarray, *, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> None:
+    """Reject an ascending spectrum that is not that of a quantum state."""
     if w[0] < -psd_tol:
         raise InvalidStateError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     tr = float(w.sum())
     if abs(tr - 1.0) > trace_tol:
         raise InvalidStateError(f"trace {tr!r} differs from 1 by more than {trace_tol:.1e}")
-    return DensityMatrix(_frozen(a), _frozen(w), _frozen(u))
 
 
 def _from_eigensystem(w: np.ndarray, u: np.ndarray) -> DensityMatrix:

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classical_beta
+from oracles import classical_beta, holevo_by_rel_entropy
 from qhtbounds import (
     AdmissibilityError,
     CertificationError,
     CQChannel,
+    DensityMatrix,
     DomainError,
+    InvalidStateError,
     ResourceError,
+    SupportError,
     capacity_lower_factorized,
     capacity_lower_memoryless,
     capacity_moderate,
@@ -157,6 +160,105 @@ def test_holevo_invariance_relabel_and_unitary():
         {x: density_matrix(u @ ch.outputs[x].matrix @ u.conj().T) for x in ch.alphabet},
     )
     assert abs(holevo_capacity(rotated).chi_star - rep.chi_star) <= 1e-9
+
+
+def random_channel(d, m, seed):
+    letters = tuple(f"x{i}" for i in range(m))
+    return CQChannel(letters, {x: random_density(d, seed + i) for i, x in enumerate(letters)})
+
+
+def subspace_channel():
+    # qubit outputs pushed into a 2-dim subspace of C^4: the mean output is rank 2
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    v, _ = np.linalg.qr(g)
+    outs = {x: density_matrix(v @ random_density(2, 40 + i).matrix @ v.conj().T) for i, x in enumerate("abc")}
+    return CQChannel(tuple("abc"), outs)
+
+
+def vanishing_letter_channel():
+    # the maximally mixed letter sits inside the BSC's hull; its weight decays to 0
+    ch = bsc_channel(0.1)
+    return CQChannel(("0", "1", "m"), dict(ch.outputs, m=maximally_mixed(2)))
+
+
+HOLEVO_CASES = {
+    **{f"random-d{d}-m{m}": random_channel(d, m, 100 * d + m) for d in (2, 4, 6) for m in (2, 8, 16)},
+    "bsc": bsc_channel(0.1),
+    "two-pure": two_pure_channel(0.6),
+    "subspace": subspace_channel(),
+    "vanishing-letter": vanishing_letter_channel(),
+}
+
+
+@pytest.mark.parametrize("ch", HOLEVO_CASES.values(), ids=HOLEVO_CASES.keys())
+def test_holevo_matches_per_letter_loop(ch):
+    rep = holevo_capacity(ch)
+    ref = holevo_by_rel_entropy(ch)
+    assert rep.iterations == ref.iterations
+    assert abs(rep.chi_star - ref.chi_star) <= 1e-13
+    assert max(abs(rep.prior[x] - ref.prior[x]) for x in ch.alphabet) <= 1e-13
+    assert abs(rep.duality_gap - ref.duality_gap) <= 1e-14
+    assert abs(rep.v_min - ref.v_min) <= 1e-12
+
+
+def test_holevo_test_channels_reach_their_branches():
+    assert subspace_channel().average({x: 1 / 3 for x in "abc"}).eigenvalues[1] <= 1e-14
+    assert holevo_capacity(vanishing_letter_channel()).prior["m"] <= 1e-9
+
+
+def test_holevo_one_eigh_per_iteration(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for ch in (random_channel(4, 8, 408), subspace_channel(), vanishing_letter_channel()):
+        calls.clear()
+        rep = holevo_capacity(ch)
+        assert len(calls) == rep.iterations + 1
+
+
+def test_holevo_rejects_letter_outside_mean_support():
+    # at the uniform start the odd letter's weight 1/201 puts the mean's |2>
+    # eigenvalue below the support threshold, while the letter itself keeps
+    # mass 1.5e-10 there; the first iteration (gap far above tolerance)
+    # rejects it in both loops, as rel_entropy does
+    letters = tuple(f"x{i}" for i in range(201))
+    outs = dict.fromkeys(letters[:150], pure_state([1.0, 0.0, 0.0]))
+    outs.update(dict.fromkeys(letters[150:200], pure_state([0.0, 1.0, 0.0])))
+    outs[letters[-1]] = density_matrix(np.diag([1 - 1.5e-10, 0.0, 1.5e-10]).astype(complex))
+    ch = CQChannel(letters, outs)
+    for solve in (holevo_capacity, holevo_by_rel_entropy):
+        with pytest.raises(SupportError, match="support violation"):
+            solve(ch, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "diag, message", [([1.1, -0.1], "not positive semidefinite"), ([0.9, 0.6], "trace")]
+)
+def test_holevo_keeps_state_checks_on_the_mean(diag, message):
+    # an output built around the validating constructor makes an invalid mean
+    m = np.diag(diag).astype(complex)
+    bad = DensityMatrix(m, *np.linalg.eigh(m))
+    ch = CQChannel(("a", "b"), {"a": pure_state([1.0, 0.0]), "b": bad})
+    for solve in (holevo_capacity, holevo_by_rel_entropy):
+        with pytest.raises(InvalidStateError, match=message):
+            solve(ch, max_iter=1)
+
+
+def test_partial_prior_counts_missing_letters_as_zero():
+    ch = faithful_pair_channel()
+    full = {"x": 1.0, "y": 0.0}
+    rho, sig = lifted_states(ch, {"x": 1.0})
+    rho_full, sig_full = lifted_states(ch, full)
+    assert np.array_equal(rho.matrix, rho_full.matrix)
+    assert np.array_equal(sig.matrix, sig_full.matrix)
+    assert np.array_equal(ch.average({"x": 1.0}).matrix, ch.output("x").matrix)
+    assert wr_lower_bound(ch, 0.2, 0.05, {"x": 1.0}) == wr_lower_bound(ch, 0.2, 0.05, full)
 
 
 def test_wr_bound_singleton_alphabet():

@@ -264,3 +264,12 @@ def test_clustering_merges_and_keeps_tiny_weights():
     assert np.isclose(m.weights[0], 0.5)
     tiny = measure_from_atoms([0.0, 1.0], [1.0 - 1e-16, 1e-16])
     assert len(tiny.locations) == 2  # weights below 1e-15 are kept
+
+
+def test_clustering_does_not_chain():
+    # each atom is within 1e-9 of the next, but a cluster spans at most 1e-9
+    # from its lowest atom, so the 1,000 atoms pair up
+    m = measure_from_atoms(np.arange(1000) * 0.9e-9, np.full(1000, 1e-3))
+    assert len(m.locations) == 500
+    assert np.allclose(m.weights, 2e-3, rtol=1e-12)
+    assert np.allclose(m.locations, (np.arange(500) * 2 + 0.5) * 0.9e-9, rtol=0.0, atol=1e-20)

@@ -192,3 +192,13 @@ def test_state_json_errors():
         state_from_json({"dim": 2, "entries": [[1, 0]]})
     with pytest.raises(InvalidStateError):
         state_from_json([1, 2, 3])
+
+
+def test_states_compare_by_identity_and_hash():
+    a, b = from_bloch([0.1, 0.2, 0.3]), from_bloch([0.1, 0.2, 0.3])
+    assert np.array_equal(a.matrix, b.matrix)
+    assert a != b and not (a == b)
+    assert a == a
+    seen = {a: "a", b: "b"}
+    assert seen[a] == "a" and seen[b] == "b"
+    assert tensor_pow(a, 2).factors == (a, a)
