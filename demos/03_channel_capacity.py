@@ -57,7 +57,7 @@ family = q.kernel_family(
     },
     q.maximally_mixed(2),
 )
-q.certify_channel_family(family, 3, "upper")
+q.certify_family(family, 3, "upper")
 print("\nmemory channel factorization constant:", family.r_upper)
 rep3 = q.holevo_capacity(family.base)
 print("single-letter capacity:", rep3.chi_star)

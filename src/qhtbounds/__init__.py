@@ -120,8 +120,6 @@ from .cq_channel import (
     capacity_lower_factorized,
     capacity_lower_memoryless,
     capacity_moderate,
-    certify_channel_family,
-    channel_factorization_R,
     channel_from_json,
     holevo_capacity,
     kernel_family,

@@ -5,7 +5,8 @@ prior with a divergence-centre duality gap as the stopping certificate. Lower
 bounds on the finite-blocklength capacity come from the hypothesis-testing
 route: the exact one-shot bound evaluated with the Neyman-Pearson oracle on
 the lifted states, or the concentration bounds with per-copy constants and,
-for channels with memory, a certified channel factorization constant.
+for channels with memory, a channel factorization constant certified by
+``fcs_gibbs.certify_family`` over ``CQChannelFamily.step_pairs``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import CertificationError, ConvergenceError, DomainError, ResourceE
 from .fcs_gibbs import GeneratingTriple
 from .modular import sup_norm_c
 from .np_oracle import d_h
-from .numerics import pencil_eigvals
 from .states import DensityMatrix, _check_spectrum, density_matrix, product_state, state_from_json, state_to_json
 
 STRING_GUARD = 10_000
@@ -209,6 +209,28 @@ class CQChannelFamily:
             self._cache[key] = self._output_fn(key)
         return self._cache[key]
 
+    def step_pairs(self, n: int) -> list[tuple[DensityMatrix, DensityMatrix]]:
+        """(W_s, W_{s[:-1]} (x) W_{s[-1]}) for every input string s of length 2..n.
+
+        The channel factorization constant is taken over these pairs; the
+        enumeration is guarded by |alphabet|^n <= 10^4.
+        """
+        if n < 1:
+            raise DomainError(f"block length must be >= 1, got {n}")
+        letters = self.base.alphabet
+        if len(letters) ** n > STRING_GUARD:
+            raise ResourceError(
+                f"string enumeration {len(letters)}^{n} exceeds guard {STRING_GUARD}"
+            )
+        pairs = []
+        strings: list[tuple[str, ...]] = [(x,) for x in letters]
+        for _ in range(2, n + 1):
+            strings = [s + (x,) for s in strings for x in letters]
+            for s in strings:
+                prod = product_state([self.n_letter_output(s[:-1]), self.base.outputs[s[-1]]])
+                pairs.append((self.n_letter_output(s), prod))
+        return pairs
+
 
 def memoryless_family(channel: CQChannel) -> CQChannelFamily:
     def output(string):
@@ -235,56 +257,6 @@ def kernel_family(kernels: dict, rho_aux: DensityMatrix) -> CQChannelFamily:
         return triples[string[-1]].chain_state(tau)
 
     return CQChannelFamily(base, output, "kernel")
-
-
-def _pencil_top(top: DensityMatrix, bottom: DensityMatrix) -> float:
-    if not bottom.is_faithful():
-        raise CertificationError("singular product output, constant not certifiable")
-    return float(pencil_eigvals(top.matrix, bottom.eigenvalues, bottom.eigenvectors)[-1])
-
-
-def channel_factorization_R(family: CQChannelFamily, n: int, direction: str = "upper") -> float:
-    """Minimal channel factorization constant over all strings of length <= n.
-
-    Per string, the constant is the top pencil eigenvalue between the
-    n-letter output and (previous output) (x) (single-letter output); the
-    enumeration is guarded by |alphabet|^n <= 10^4.
-    """
-    if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    if n < 1:
-        raise DomainError(f"block length must be >= 1, got {n}")
-    letters = family.base.alphabet
-    if len(letters) ** n > STRING_GUARD:
-        raise ResourceError(
-            f"string enumeration {len(letters)}^{n} exceeds guard {STRING_GUARD}"
-        )
-    r = 1.0
-    strings: list[tuple[str, ...]] = [(x,) for x in letters]
-    for _ in range(2, n + 1):
-        strings = [s + (x,) for s in strings for x in letters]
-        for s in strings:
-            whole = family.n_letter_output(s)
-            prev = family.n_letter_output(s[:-1])
-            last = family.base.outputs[s[-1]]
-            prod = product_state([prev, last])
-            if direction == "upper":
-                r = max(r, _pencil_top(whole, prod))
-            else:
-                if not whole.is_faithful():
-                    return math.inf
-                r = max(r, _pencil_top(prod, whole))
-    return r
-
-
-def certify_channel_family(family: CQChannelFamily, n: int, direction: str = "upper") -> CQChannelFamily:
-    value = channel_factorization_R(family, n, direction)
-    if direction == "upper":
-        family.r_upper = value
-    else:
-        family.r_lower = value
-    family.certified_n = max(family.certified_n, n)
-    return family
 
 
 def _require_certified(family: CQChannelFamily, n: int, direction: str) -> float:
@@ -350,9 +322,12 @@ def capacity_moderate(
 
 def channel_from_json(obj) -> CQChannel:
     """Parse the JSON channel spec {"alphabet": [...], "outputs": {x: state}}."""
-    if not isinstance(obj, dict) or "alphabet" not in obj or "outputs" not in obj:
-        raise DomainError("channel spec needs 'alphabet' and 'outputs'")
+    if not isinstance(obj, dict) or "alphabet" not in obj or not isinstance(obj.get("outputs"), dict):
+        raise DomainError("channel spec needs 'alphabet' and an 'outputs' object")
     alphabet = tuple(str(x) for x in obj["alphabet"])
+    missing = [x for x in alphabet if x not in obj["outputs"]]
+    if missing:
+        raise DomainError(f"channel spec has no output for letter(s) {missing}")
     outputs = {x: state_from_json(obj["outputs"][x]) for x in alphabet}
     return CQChannel(alphabet, outputs)
 

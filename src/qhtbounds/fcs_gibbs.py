@@ -11,6 +11,7 @@ inequalities
 
 hold for every cached step, via the generalized eigenvalues of the pencil,
 and double-check soundness with a direct positive-semidefiniteness test.
+They take any family with ``step_pairs(n)``, channel families included.
 """
 
 from __future__ import annotations
@@ -170,14 +171,8 @@ def build_gibbs(chain: GibbsChain, n: int, max_dim: int = DEFAULT_DIM_BUDGET) ->
 
 def build_fcs(triple: GeneratingTriple, n: int, max_dim: int = DEFAULT_DIM_BUDGET) -> tuple[DensityMatrix, DensityMatrix]:
     """Chain state of length n and the step-n site marginal of a kernel family."""
-    if n < 1:
-        raise DomainError(f"chain length must be >= 1, got {n}")
-    if triple.site_dim**n > max_dim:
-        raise ResourceError(f"chain dimension {triple.site_dim ** n} exceeds budget {max_dim}")
-    tau = triple.rho_aux.matrix
-    for step in range(1, n + 1):
-        tau = triple.apply_step(step, tau)
-    return triple.chain_state(tau), triple.site_marginal(n)
+    fam = fcs_family(triple, max_dim)
+    return fam.state(n), fam.marginal(n)
 
 
 def commutative_fcs(
@@ -400,59 +395,61 @@ def product_family(factors, max_dim: int = DEFAULT_DIM_BUDGET) -> StateFamily:
     return StateFamily("product", site_dim, extend, max_dim)
 
 
-def minimal_upper_R(family: StateFamily, n: int) -> float:
-    """Least R with rho_k <= R rho_{k-1} (x) marg_k for every k <= n.
+def _certify_steps(pairs, upper: bool) -> float:
+    """Least R with top <= R bottom on every pair, re-certified directly.
 
-    The per-step constant is the top generalized eigenvalue of the pencil;
-    the returned maximum is re-certified directly (R . product - rho_k must
-    be positive semidefinite down to -1e-10). Singular products are rejected
-    since soundness of the certificate would be lost.
+    The pairs are (rho_k, prod_k); the upper constant takes top = rho_k, the
+    lower one top = prod_k. Per pair R is the top eigenvalue of the pencil.
+    A singular bottom leaves the upper constant uncertifiable; for the lower
+    one it gives +inf when the top puts mass on its null space, and a pencil
+    restricted to its support otherwise. R bottom - top must then be positive
+    semidefinite down to -1e-10 on every pair.
     """
-    pairs = family.step_pairs(n)
+    if not upper:
+        pairs = [(prod_k, rho_k) for rho_k, prod_k in pairs]
     r = 1.0
-    for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        if not prod_k.is_faithful():
-            raise CertificationError(
-                f"step {k}: product state is singular, upper constant not certifiable"
-            )
-        r = max(r, float(pencil_eigvals(rho_k.matrix, prod_k.eigenvalues, prod_k.eigenvectors)[-1]))
-    for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        w = np.linalg.eigvalsh(r * prod_k.matrix - rho_k.matrix)
+    for k, (top, bottom) in enumerate(pairs, start=1):
+        w, u = bottom.eigenvalues, bottom.eigenvectors
+        if not bottom.is_faithful():
+            if upper:
+                raise CertificationError(
+                    f"step {k}: product state is singular, upper constant not certifiable"
+                )
+            mask = w > FAITHFULNESS_THRESHOLD
+            null_vecs = u[:, ~mask]
+            leak = np.einsum("ij,jk,ki->i", null_vecs.conj().T, top.matrix, null_vecs)
+            if float(leak.real.sum()) > 1e-10:
+                return math.inf
+            w, u = w[mask], u[:, mask]
+        r = max(r, float(pencil_eigvals(top.matrix, w, u)[-1]))
+    for k, (top, bottom) in enumerate(pairs, start=1):
+        w = np.linalg.eigvalsh(r * bottom.matrix - top.matrix)
         if w[0] < -PSD_CHECK_TOL:
-            raise CertificationError(
-                f"step {k}: direct check failed, min eigenvalue {w[0]:.3e}"
-            )
+            raise CertificationError(f"step {k}: direct check failed, min eigenvalue {w[0]:.3e}")
     return r
 
 
-def minimal_lower_R(family: StateFamily, n: int) -> float:
-    """Least R with rho_k >= (1/R) rho_{k-1} (x) marg_k for k <= n, +inf if none.
+def minimal_upper_R(family, n: int) -> float:
+    """Least R with rho_k <= R prod_k on every pair of ``family.step_pairs(n)``.
+
+    prod_k is rho_{k-1} (x) marg_k for a state family; a channel family's
+    pairs run over input strings. Singular products are rejected since
+    soundness of the certificate would be lost.
+    """
+    return _certify_steps(family.step_pairs(n), upper=True)
+
+
+def minimal_lower_R(family, n: int) -> float:
+    """Least R with rho_k >= (1/R) prod_k on every pair, +inf if none.
 
     When rho_k is singular the constant is finite only if the product's
     support fits inside; otherwise +inf is returned.
     """
-    pairs = family.step_pairs(n)
-    r = 1.0
-    for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        mask = rho_k.eigenvalues > FAITHFULNESS_THRESHOLD
-        null_vecs = rho_k.eigenvectors[:, ~mask]
-        if null_vecs.size:
-            leak = np.einsum("ij,jk,ki->i", null_vecs.conj().T, prod_k.matrix, null_vecs)
-            if float(leak.real.sum()) > 1e-10:
-                return math.inf
-        w = pencil_eigvals(prod_k.matrix, rho_k.eigenvalues[mask], rho_k.eigenvectors[:, mask])
-        r = max(r, float(w[-1]))
-    for k, (rho_k, prod_k) in enumerate(pairs, start=1):
-        w = np.linalg.eigvalsh(r * rho_k.matrix - prod_k.matrix)
-        if w[0] < -PSD_CHECK_TOL:
-            raise CertificationError(
-                f"step {k}: direct lower check failed, min eigenvalue {w[0]:.3e}"
-            )
-    return r
+    return _certify_steps(family.step_pairs(n), upper=False)
 
 
-def certify_family(family: StateFamily, n: int, which: str = "both") -> StateFamily:
-    """Populate the family's factorization certificates over steps 1..n."""
+def certify_family(family, n: int, which: str = "both"):
+    """Populate the certificates of a state or channel family over ``step_pairs(n)``."""
     if which not in ("upper", "lower", "both"):
         raise DomainError(f"which must be 'upper', 'lower' or 'both', got {which!r}")
     if which in ("upper", "both"):

@@ -95,9 +95,11 @@ class Type2Report:
 
 def _root_factor(state: DensityMatrix) -> np.ndarray:
     """F with F^dag F equal to the state, built from its spectrum; eigenvalues
-    within the eigensolver's roundoff of zero count as zero."""
+    within the eigensolver's roundoff of zero count as zero. A product's
+    spectrum (Kronecker products of its factors') is exact to relative
+    precision, so there only negative eigenvalues count as zero."""
     w = state.eigenvalues
-    floor = w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    floor = 0.0 if state.factors else w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
     return np.sqrt(np.where(w > floor, w, 0.0))[:, None] * state.eigenvectors.conj().T
 
 

@@ -210,6 +210,20 @@ def test_channel_moderate(specs, capsys):
     assert obj["asymptotic_form"] is True
 
 
+@pytest.mark.parametrize(
+    "outputs", [{"a": {"bloch": [0, 0, 1]}}, "ab"], ids=["missing_letter", "not_an_object"]
+)
+def test_channel_letter_without_output_is_a_domain_error(capsys, tmp_path, outputs):
+    spec = tmp_path / "partial.json"
+    spec.write_text(json.dumps({"alphabet": ["a", "b"], "outputs": outputs}))
+    code, out, err = run_cli(capsys, "channel", str(spec), "capacity")
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    validate(obj, "error.schema.json")
+    assert obj["error"]["type"] == "DomainError"
+
+
 def test_concentration_mc_csv_and_determinism(specs, capsys):
     args = ["concentration-mc", "--model", "skewed", "--n", "50", "--trials", "5000", "--seed", "11"]
     code, out1, _ = run_cli(capsys, *args)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classical_beta, holevo_by_rel_entropy
+from oracles import classical_beta, holevo_by_rel_entropy, minimal_r_by_bisection
 from qhtbounds import (
     AdmissibilityError,
     CertificationError,
@@ -17,8 +17,7 @@ from qhtbounds import (
     capacity_lower_factorized,
     capacity_lower_memoryless,
     capacity_moderate,
-    certify_channel_family,
-    channel_factorization_R,
+    certify_family,
     channel_from_json,
     commutative_fcs,
     d_h,
@@ -30,6 +29,7 @@ from qhtbounds import (
     lifted_states,
     maximally_mixed,
     memoryless_family,
+    minimal_lower_R,
     minimal_upper_R,
     product_state,
     pure_state,
@@ -39,6 +39,7 @@ from qhtbounds import (
     tensor_pow,
     wr_lower_bound,
 )
+from qhtbounds import fcs_gibbs
 from qhtbounds.cq_channel import capacity_report_to_json
 
 
@@ -344,7 +345,7 @@ def test_capacity_lower_factorized_reduces_and_continuous():
 
 def test_capacity_lower_factorized_chain_vs_exact_wr():
     fam = memory_kernel_family()
-    certify_channel_family(fam, 3, "upper")
+    certify_family(fam, 3, "upper")
     rep = holevo_capacity(fam.base)
     eps, epsp = 0.2, 0.05
     penalty = math.log(4.0 * eps / (eps - epsp))
@@ -370,7 +371,7 @@ def test_capacity_lower_factorized_chain_vs_exact_wr():
 
 def test_channel_factorization_r_memoryless_is_one():
     fam = memoryless_family(faithful_pair_channel())
-    assert abs(channel_factorization_R(fam, 3, "upper") - 1.0) <= 1e-9
+    assert abs(minimal_upper_R(fam, 3) - 1.0) <= 1e-9
 
 
 def test_channel_factorization_r_single_letter_matches_state_family():
@@ -381,7 +382,7 @@ def test_channel_factorization_r_single_letter_matches_state_family():
     fam_states = fcs_family(tri)
     r_state = minimal_upper_R(fam_states, 3)
     fam_channel = kernel_family({"0": list(tri.kraus_steps[0])}, tri.rho_aux)
-    r_channel = channel_factorization_R(fam_channel, 3, "upper")
+    r_channel = minimal_upper_R(fam_channel, 3)
     assert abs(r_state - r_channel) <= 1e-10
     for n in (1, 2, 3):
         diff = fam_channel.n_letter_output(("0",) * n).matrix - fam_states.state(n).matrix
@@ -390,7 +391,7 @@ def test_channel_factorization_r_single_letter_matches_state_family():
 
 def test_channel_factorization_r_memory_family_cross_check():
     fam = memory_kernel_family()
-    r = channel_factorization_R(fam, 3, "upper")
+    r = minimal_upper_R(fam, 3)
     assert math.isfinite(r) and r > 1.0
     # constant strings reproduce the per-kernel state-family certificates
     for letter in fam.base.alphabet:
@@ -406,10 +407,43 @@ def test_channel_factorization_r_memory_family_cross_check():
         assert direct <= r + 1e-8
 
 
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+def test_channel_factorization_r_matches_bisection_over_all_strings(upper):
+    fam = memory_kernel_family()
+    r = (minimal_upper_R if upper else minimal_lower_R)(fam, 3)
+    direct = 1.0
+    for length in (2, 3):
+        for s in itertools.product(fam.base.alphabet, repeat=length):
+            whole = fam.n_letter_output(s).matrix
+            prod = product_state([fam.n_letter_output(s[:-1]), fam.base.outputs[s[-1]]]).matrix
+            top, bottom = (whole, prod) if upper else (prod, whole)
+            direct = max(direct, minimal_r_by_bisection(top, bottom))
+    assert direct > 1.0
+    assert abs(r - direct) <= 1e-8
+
+
+def test_channel_factorization_r_under_reported_pencil_is_caught(monkeypatch):
+    real = fcs_gibbs.pencil_eigvals
+    monkeypatch.setattr(fcs_gibbs, "pencil_eigvals", lambda top, w, u: real(top, w, u) / 2.0)
+    fam = memory_kernel_family()
+    for certifier in (minimal_upper_R, minimal_lower_R):
+        with pytest.raises(CertificationError, match="direct"):
+            certifier(fam, 3)
+
+
+def test_channel_lower_r_of_pure_outputs_is_one():
+    # every n-letter output is the pure product of its letters' outputs, so
+    # the product state equals it and the support-restricted pencil gives 1
+    fam = memoryless_family(two_pure_channel(0.6))
+    assert abs(minimal_lower_R(fam, 3) - 1.0) <= 1e-12
+    with pytest.raises(CertificationError):
+        minimal_upper_R(fam, 3)
+
+
 def test_channel_factorization_guard():
     fam = memoryless_family(faithful_pair_channel())
     with pytest.raises(ResourceError):
-        channel_factorization_R(fam, 20, "upper")
+        minimal_upper_R(fam, 20)
 
 
 def test_capacity_moderate_directions():

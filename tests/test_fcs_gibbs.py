@@ -28,6 +28,7 @@ from qhtbounds import (
     state_to_json,
     tensor_pow,
 )
+from qhtbounds import fcs_gibbs
 from qhtbounds.numerics import partial_trace
 
 ZZ = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
@@ -226,6 +227,15 @@ def test_minimal_r_direct_psd_check():
     for rho_k, prod_k in fam.step_pairs(4):
         w = np.linalg.eigvalsh(r * prod_k.matrix - rho_k.matrix)
         assert w[0] >= -1e-10
+
+
+def test_minimal_r_under_reported_pencil_is_caught(monkeypatch):
+    real = fcs_gibbs.pencil_eigvals
+    monkeypatch.setattr(fcs_gibbs, "pencil_eigvals", lambda top, w, u: real(top, w, u) / 2.0)
+    fam = gibbs_family(GibbsChain(2, ZZ, 0.2))
+    for certifier in (minimal_upper_R, minimal_lower_R):
+        with pytest.raises(CertificationError, match="direct"):
+            certifier(fam, 4)
 
 
 def test_minimal_upper_r_rejects_singular_product():

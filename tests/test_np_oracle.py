@@ -236,6 +236,23 @@ def test_optimal_type2_rank_deficient_rho():
                 assert abs(rep.value - type2_by_bisection(rho.matrix, sig.matrix, eps)) <= 1e-12, (d, eps, rep)
 
 
+def test_optimal_type2_keeps_tiny_masses_of_a_product():
+    # sigma^(x)n has eigenvalues far below d * eps_mach times its largest one;
+    # a product's spectrum is exact, so their type-II mass must be kept
+    z = 0.999999
+    pa, pb = np.array([(1 + z) / 2, (1 - z) / 2]), np.array([(1 - z) / 2, (1 + z) / 2])
+    for n in (3, 5):
+        rho = tensor_pow(from_bloch((0.0, 0.0, z)), n)
+        sig = tensor_pow(from_bloch((0.0, 0.0, -z)), n)
+        p_n, q_n = pa, pb
+        for _ in range(n - 1):
+            p_n, q_n = np.kron(p_n, pa), np.kron(q_n, pb)
+        for eps in (0.01, 0.5, 0.9):
+            ref = classical_beta(p_n, q_n, eps)
+            assert ref > 0.0
+            assert abs(optimal_type2(rho, sig, eps) - ref) <= 1e-12 * ref, (n, eps)
+
+
 def test_optimal_type2_uncertified_bracket_raises(monkeypatch):
     # a lower end above the upper one is no certificate either
     family = np_oracle._TestFamily(random_density(2, 1), random_density(2, 2), 1)
