@@ -23,7 +23,9 @@ from .errors import CertificationError, ConvergenceError, DomainError, ResourceE
 from .fcs_gibbs import GeneratingTriple
 from .modular import sup_norm_c
 from .np_oracle import d_h
-from .states import DensityMatrix, _check_spectrum, density_matrix, product_state, state_from_json, state_to_json
+from .states import (
+    DEFAULT_DIM_BUDGET, DensityMatrix, _check_spectrum, density_matrix, product_state, state_from_json, state_to_json,
+)
 
 STRING_GUARD = 10_000
 
@@ -213,7 +215,10 @@ class CQChannelFamily:
         """(W_s, W_{s[:-1]} (x) W_{s[-1]}) for every input string s of length 2..n.
 
         The channel factorization constant is taken over these pairs; the
-        enumeration is guarded by |alphabet|^n <= 10^4.
+        enumeration is guarded by |alphabet|^n <= 10^4, and the outputs of
+        length n, which are cached, may hold at most ``DEFAULT_DIM_BUDGET**2``
+        complex entries in total (a state family's largest matrix). Both
+        guards raise ``ResourceError`` before any output is built.
         """
         if n < 1:
             raise DomainError(f"block length must be >= 1, got {n}")
@@ -221,6 +226,12 @@ class CQChannelFamily:
         if len(letters) ** n > STRING_GUARD:
             raise ResourceError(
                 f"string enumeration {len(letters)}^{n} exceeds guard {STRING_GUARD}"
+            )
+        entries = len(letters) ** n * self.base.dim ** (2 * n)
+        if entries > DEFAULT_DIM_BUDGET**2:
+            raise ResourceError(
+                f"{len(letters)}^{n} outputs of side {self.base.dim}^{n} hold {entries:.2e} entries, "
+                f"above the budget {DEFAULT_DIM_BUDGET}^2"
             )
         pairs = []
         strings: list[tuple[str, ...]] = [(x,) for x in letters]

@@ -18,12 +18,12 @@ eps is the dual value of the hypothesis-testing SDP,
 optimal type-II error. ``optimal_type2`` closes the gap between that lower
 bound and the best randomized test found by a bracketed root solve, to
 ``max(1e-12 * value, 1e-15)`` or a ``ConvergenceError``; ``error_curve``
-refines the chord/tangent sandwich of the whole frontier.
+refines the chord/tangent sandwich of the whole frontier, splitting every
+interval still too wide in one round.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -39,6 +39,10 @@ TYPE2_ABS_WIDTH = 1e-15
 MAX_TYPE2_EVALS = 60
 CURVE_REFINE_TOL = 1e-8
 MAX_CURVE_POINTS = 20_000
+# pencil matrices of one stacked threshold evaluation, in bytes: a round of
+# error_curve refinement is split into chunks of this size, which bounds the
+# working memory at dim 128 (8 thresholds per chunk; 2,048 at dim 8)
+STACK_BYTES = 2 * 2**20
 # cost guard: largest allowed (evaluation budget) x dim^3, checked before the
 # first eigendecomposition; admits optimal_type2 up to dim 1024 and
 # error_curve up to dim 128
@@ -121,12 +125,12 @@ class _TestFamily:
         self._sigma_dm = sigma
         self.evaluations = 0
 
-    def points_at(self, u: float, node: bool) -> tuple[tuple[float, float], tuple[float, float], float]:
-        """Error pairs (strict, inclusive) of the threshold tests at u, and the
-        positive eigenvalue mass of (1 - u) rho - u sigma the strict test may
-        leave out.
+    def points_at(self, u: np.ndarray, node: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Error pairs (strict, inclusive) of the threshold tests at each u of a
+        stack, as two (len(u), 2) arrays of (alpha, beta) rows, and the positive
+        eigenvalue mass of (1 - u) rho - u sigma each strict test may leave out.
 
-        At a node (``node=True``) eigenvalues within ``ZERO_EIG_TOL`` of zero
+        At nodes (``node=True``) eigenvalues within ``ZERO_EIG_TOL`` of zero
         count as zero: the strict test leaves them out, the inclusive one
         takes them in. Between nodes no eigenvalue should be that small and
         both tests cut at exactly zero; an eigenvalue within the eigensolver's
@@ -135,27 +139,37 @@ class _TestFamily:
 
         Each error is summed over the eigenvectors it counts, never as one
         minus the rest, and each term is a squared norm, so small errors keep
-        their relative precision.
+        their relative precision. The stack goes through one ``eigh`` and one
+        root-factor product per chunk of at most ``STACK_BYTES`` of pencil
+        matrices (one threshold at least); every threshold gets bitwise the
+        numbers it gets alone.
         """
-        # a real combination of Hermitian matrices: eigh needs no check
-        w, vecs = np.linalg.eigh((1.0 - u) * self.rho - u * self.sigma)
-        self.evaluations += 1
-        # <v|rho|v> = |rho^(1/2) v|^2 and <v|sigma|v> from one product
-        d = w.size
-        fv = self._roots @ vecs
-        diags = (fv.real**2 + fv.imag**2).reshape(2, d, d).sum(axis=1)
-        tol = ZERO_EIG_TOL * max(u, 1.0 - u) if node else 0.0
-        k_pos, k_strict, k_incl = np.searchsorted(w, (0.0, tol, -tol), side="right")
-        out = []
-        for k in (k_strict, k_incl):
-            alpha = min(float(diags[0, :k].sum()), 1.0)
-            beta = min(float(diags[1, k:].sum()), 1.0)
-            out.append((alpha, beta))
-        left_out = float(w[k_pos:k_strict].sum())
-        if not node:
-            roundoff = d * np.finfo(float).eps * max(-w[0], w[-1])
-            left_out += roundoff * np.count_nonzero(np.abs(w) < roundoff)
-        return out[0], out[1], left_out
+        n, d = u.size, self.rho.shape[0]
+        strict, incl, left_out = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+        step = max(1, STACK_BYTES // (16 * d * d))
+        for s in range(0, n, step):
+            c = slice(s, s + step)
+            uc = u[c, None, None]
+            # real combinations of Hermitian matrices: eigh needs no check
+            w, vecs = np.linalg.eigh((1.0 - uc) * self.rho - uc * self.sigma)
+            # <v|rho|v> = |rho^(1/2) v|^2 and <v|sigma|v> from one product
+            fv = self._roots @ vecs
+            diags = (fv.real**2 + fv.imag**2).reshape(-1, 2, d, d).sum(axis=2)
+            # ascending spectra: counting eigenvalues <= x is searchsorted(w, x, "right")
+            k_pos = (w <= 0.0).sum(axis=1)
+            if node:
+                tol = ZERO_EIG_TOL * np.maximum(u[c], 1.0 - u[c])[:, None]
+                k_strict = (w <= tol).sum(axis=1)
+                strict[c], incl[c] = _errors(diags, k_strict), _errors(diags, (w <= -tol).sum(axis=1))
+                left_out[c] = 0.0
+                for t in np.flatnonzero(k_strict > k_pos).tolist():
+                    left_out[s + t] = w[t, k_pos[t] : k_strict[t]].sum()
+            else:
+                strict[c] = incl[c] = _errors(diags, k_pos)
+                roundoff = d * np.finfo(float).eps * np.maximum(-w[:, 0], w[:, -1])
+                left_out[c] = roundoff * (np.abs(w) < roundoff[:, None]).sum(axis=1)
+        self.evaluations += n
+        return strict, incl, left_out
 
     def candidate_u(self) -> list[float]:
         mu = np.maximum(self._sigma_dm.eigenvalues, 1e-14)
@@ -167,6 +181,20 @@ class _TestFamily:
             if t - keep[-1] > 1e-12 * max(1.0, t):
                 keep.append(float(t))
         return [t / (1.0 + t) for t in keep] + [1.0]
+
+
+def _errors(diags: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(alpha, beta) rows of the tests that reject on the first k[t]
+    eigenvectors of stack entry t: the rho mass on them and the sigma mass on
+    the rest. Rows with equal k are summed together along the fast axis,
+    numpy's pairwise order for one slice, so each row's sums are bitwise
+    what that row gives alone."""
+    out = np.empty((k.size, 2))
+    for j in set(k.tolist()):
+        rows = k == j
+        out[rows, 0] = diags[rows, 0, :j].sum(axis=1)
+        out[rows, 1] = diags[rows, 1, j:].sum(axis=1)
+    return np.minimum(out, 1.0)
 
 
 class _Bracket:
@@ -188,7 +216,8 @@ class _Bracket:
 
     def visit(self, u: float, node: bool) -> tuple[tuple[float, float], tuple[float, float]]:
         """Evaluate the threshold tests at u and return their error pairs (strict, inclusive)."""
-        strict, incl, left_out = self.family.points_at(u, node)
+        strict, incl, left_out = self.family.points_at(np.array([u]), node)
+        strict, incl, left_out = tuple(strict[0].tolist()), tuple(incl[0].tolist()), float(left_out[0])
         eps = self.eps
         if u > 0.0:
             # the dual value [(1 - u)(1 - eps) - Tr((1 - u) rho - u sigma)_+] / u,
@@ -387,24 +416,33 @@ def _lower_hull(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarr
     return alphas, betas
 
 
-def _sandwich_gap(u_lo: float, p_lo: tuple[float, float], u_hi: float, p_hi: tuple[float, float]) -> float:
-    """Largest height of the chord p_lo-p_hi over the supporting lines at u_lo and u_hi.
+def _sandwich_gap(u_lo: np.ndarray, p_lo: np.ndarray, u_hi: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """Largest height of each chord p_lo-p_hi over the supporting lines at u_lo and u_hi.
 
     The supporting line at u is (1 - u) alpha + u beta = (1 - u) a + u b
     through the point (a, b) of that threshold; the frontier between the two
     points lies below the chord and above both lines, whose intersection is
-    where the chord is highest above them.
+    where the chord is highest above them. Points are (n, 2) rows of (a, b).
     """
-    (a0, b0), (a1, b1) = p_lo, p_hi
-    if a1 - a0 <= 1e-15:
-        # no type-I level lies between the points: the lower one is exact
-        return 0.0
-    c0 = (1.0 - u_lo) * a0 + u_lo * b0
-    c1 = (1.0 - u_hi) * a1 + u_hi * b1
-    a_x = min(max((u_hi * c0 - u_lo * c1) / (u_hi - u_lo), a0), a1)
-    b_x = (c1 - (1.0 - u_hi) * a_x) / u_hi
-    chord = b0 + (a_x - a0) / (a1 - a0) * (b1 - b0)
-    return max(chord - b_x, 0.0)
+    (a0, b0), (a1, b1) = p_lo.T, p_hi.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0 = (1.0 - u_lo) * a0 + u_lo * b0
+        c1 = (1.0 - u_hi) * a1 + u_hi * b1
+        a_x = np.minimum(np.maximum((u_hi * c0 - u_lo * c1) / (u_hi - u_lo), a0), a1)
+        b_x = (c1 - (1.0 - u_hi) * a_x) / u_hi
+        chord = b0 + (a_x - a0) / (a1 - a0) * (b1 - b0)
+    # no type-I level lies between the points: the lower one is exact
+    return np.where(a1 - a0 <= 1e-15, 0.0, np.maximum(chord - b_x, 0.0))
+
+
+def _split_points(u_lo: np.ndarray, p_lo: np.ndarray, u_hi: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """Where the tangent is parallel to the chord (slope -(1 - u) / u), or
+    the midpoint when that lies within 1% of the interval's width of an end."""
+    slope = np.minimum((p_hi[:, 1] - p_lo[:, 1]) / (p_hi[:, 0] - p_lo[:, 0]), 0.0)
+    u_mid = 1.0 / (1.0 - slope)
+    margin = 0.01 * (u_hi - u_lo)
+    crowded = ~((u_lo + margin < u_mid) & (u_mid < u_hi - margin))
+    return np.where(crowded, 0.5 * (u_lo + u_hi), u_mid)
 
 
 def error_curve(
@@ -415,58 +453,51 @@ def error_curve(
     Strict and inclusive threshold tests are evaluated at every generalized
     eigenvalue of the pencil; each point comes with its supporting line, so
     between neighbouring points the frontier lies between the chord and the
-    two tangents. The interval with the largest such gap is split first, at
-    the threshold whose tangent is parallel to the chord, until every gap is
-    at most ``refine_tol`` (no split triggers for commuting pairs). Reaching
-    ``MAX_CURVE_POINTS`` evaluations first raises ``ConvergenceError``; an
-    interval too narrow to split in double precision keeps its gap, which
-    ``ErrorCurve.gap`` then reports.
+    two tangents. Refinement goes in rounds: each round splits every
+    interval whose gap exceeds ``refine_tol`` at the threshold whose tangent
+    is parallel to its chord, all of them in one stacked evaluation (chunks
+    of at most ``STACK_BYTES`` of pencil matrices), until every gap is at
+    most ``refine_tol`` (no split triggers for commuting pairs). The split
+    tree, hence the curve, does not depend on the order of the splits.
+    Before each round the point cap is checked: a round that would take the
+    evaluations past ``MAX_CURVE_POINTS`` raises ``ConvergenceError`` instead
+    of running. An interval too narrow to split in double precision keeps
+    its gap, which ``ErrorCurve.gap`` then reports. A negative (or NaN)
+    ``refine_tol`` raises ``DomainError``.
     """
+    if not refine_tol >= 0.0:
+        raise DomainError(f"refine_tol must be nonnegative, got {refine_tol}")
     family = _TestFamily(rho, sigma, MAX_CURVE_POINTS)
-    u_nodes = family.candidate_u()
-    points: list[tuple[float, float]] = [(0.0, 1.0), (1.0, 0.0)]
-    at: dict[float, tuple[tuple[float, float], tuple[float, float]]] = {}
-    for u in u_nodes:
-        strict, incl, _ = family.points_at(u, node=True)
-        at[u] = strict, incl
-        points.extend((strict, incl))
-
-    heap: list = []
+    u = np.array(family.candidate_u())
+    strict, incl, _ = family.points_at(u, node=True)
+    points = [np.array([[0.0, 1.0], [1.0, 0.0]]), strict, incl]
+    # within an interval the strict test at its left node continues into the
+    # inclusive test at its right node
+    u_lo, p_lo, u_hi, p_hi = u[:-1], strict[:-1], u[1:], incl[1:]
+    g = _sandwich_gap(u_lo, p_lo, u_hi, p_hi)
     gap = 0.0
-
-    def push(u_lo, p_lo, u_hi, p_hi):
-        nonlocal gap
-        g = _sandwich_gap(u_lo, p_lo, u_hi, p_hi)
-        if g > refine_tol:
-            heapq.heappush(heap, (-g, u_lo, p_lo, u_hi, p_hi))
-        else:
-            gap = max(gap, g)
-
-    for u_lo, u_hi in zip(u_nodes, u_nodes[1:]):
-        # within an interval the strict test at its left node continues into
-        # the inclusive test at its right node
-        push(u_lo, at[u_lo][0], u_hi, at[u_hi][1])
-    while heap:
-        neg_gap, u_lo, p_lo, u_hi, p_hi = heapq.heappop(heap)
-        if family.evaluations >= MAX_CURVE_POINTS:
+    while True:
+        keep = g > refine_tol
+        gap = max(gap, float(g[~keep].max(initial=0.0)))
+        u_lo, p_lo, u_hi, p_hi, g = u_lo[keep], p_lo[keep], u_hi[keep], p_hi[keep], g[keep]
+        u_mid = _split_points(u_lo, p_lo, u_hi, p_hi)
+        # an interval too narrow to split keeps its gap
+        keep = (u_lo < u_mid) & (u_mid < u_hi)
+        gap = max(gap, float(g[~keep].max(initial=0.0)))
+        n = int(keep.sum())
+        if n == 0:
+            break
+        if family.evaluations + n > MAX_CURVE_POINTS:
             raise ConvergenceError(
-                f"error_curve gap {-neg_gap:.3e} above refine_tol {refine_tol:.1e} "
-                f"after {family.evaluations} threshold evaluations"
+                f"error_curve gap {g.max():.3e} above refine_tol {refine_tol:.1e} after "
+                f"{family.evaluations} threshold evaluations; the next round needs {n} more"
             )
-        # split where the tangent is parallel to the chord (slope -(1 - u) / u),
-        # unless that crowds an end of the interval
-        slope = min((p_hi[1] - p_lo[1]) / (p_hi[0] - p_lo[0]), 0.0)
-        u_mid = 1.0 / (1.0 - slope)
-        margin = 0.01 * (u_hi - u_lo)
-        if not u_lo + margin < u_mid < u_hi - margin:
-            u_mid = 0.5 * (u_lo + u_hi)
-        if not u_lo < u_mid < u_hi:
-            gap = max(gap, -neg_gap)
-            continue
+        u_lo, p_lo, u_mid, u_hi, p_hi = u_lo[keep], p_lo[keep], u_mid[keep], u_hi[keep], p_hi[keep]
         # no node inside: the test at threshold exactly 0 is the frontier point
         p_mid, _, _ = family.points_at(u_mid, node=False)
         points.append(p_mid)
-        push(u_lo, p_lo, u_mid, p_mid)
-        push(u_mid, p_mid, u_hi, p_hi)
-    alphas, betas = _lower_hull(points)
+        u_lo, p_lo = np.concatenate((u_lo, u_mid)), np.concatenate((p_lo, p_mid))
+        u_hi, p_hi = np.concatenate((u_mid, u_hi)), np.concatenate((p_mid, p_hi))
+        g = _sandwich_gap(u_lo, p_lo, u_hi, p_hi)
+    alphas, betas = _lower_hull(list(map(tuple, np.concatenate(points).tolist())))
     return ErrorCurve(_frozen(alphas), _frozen(betas), gap, family.evaluations)

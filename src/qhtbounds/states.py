@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,8 +26,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class DensityMatrix:
     """A positive semidefinite unit-trace Hermitian matrix with its spectrum.
 
-    The eigendecomposition is computed once at construction and shared by all
-    consumers; instances are immutable and safe to pass between threads.
+    The eigendecomposition is computed once and shared by all consumers;
+    instances are immutable and safe to pass between threads. The
+    eigenvectors of a product are built on first access and kept (two
+    threads may both build them, and get equal arrays): the third field
+    holds either the eigenvector columns or the function that builds them.
     ``factors`` lists, in order, the tensor factors of a state built by
     ``product_state``; nested products are flattened, so no factor is itself
     a product. Every other constructor leaves it empty.
@@ -34,8 +38,17 @@ class DensityMatrix:
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _eigenvectors: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     factors: tuple[DensityMatrix, ...] = ()
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvector columns, in the order of ``eigenvalues``."""
+        u = self._eigenvectors
+        if callable(u):
+            u = _frozen(u())
+            object.__setattr__(self, "_eigenvectors", u)
+        return u
 
     @property
     def dim(self) -> int:
@@ -138,11 +151,12 @@ def product_state(factors: Sequence[DensityMatrix], max_dim: int = DEFAULT_DIM_B
 
     The matrix is the Kronecker product of the factor matrices (exactly
     Hermitian, as they are); eigenvalues and eigenvectors are Kronecker
-    products of the factors' ones, sorted ascending. The result records its
-    factors, with nested products flattened, so that consumers such as
-    ``relative_modular_measure`` can work copy by copy. One factor is
-    returned as is.
+    products of the factors' ones, sorted ascending; the eigenvectors are
+    built only when first read. The result records its factors, with nested
+    products flattened, so that consumers such as ``relative_modular_measure``
+    can work copy by copy. One factor is returned as is.
     """
+    factors = tuple(factors)
     if not factors:
         raise DomainError("product_state needs at least one factor")
     if len(factors) == 1:
@@ -151,14 +165,20 @@ def product_state(factors: Sequence[DensityMatrix], max_dim: int = DEFAULT_DIM_B
     for f in factors:
         dim *= f.dim
     _check_budget(dim, max_dim)
-    m, w, u = factors[0].matrix, factors[0].eigenvalues, factors[0].eigenvectors
+    m, w = factors[0].matrix, factors[0].eigenvalues
     for f in factors[1:]:
         m = kron(m, f.matrix)
         w = np.kron(w, f.eigenvalues)
-        u = kron(u, f.eigenvectors)
     order = np.argsort(w, kind="stable")
     flat = tuple(g for f in factors for g in (f.factors or (f,)))
-    return DensityMatrix(_frozen(m), _frozen(w[order]), _frozen(u[:, order]), flat)
+    return DensityMatrix(_frozen(m), _frozen(w[order]), partial(_product_eigenvectors, factors, order), flat)
+
+
+def _product_eigenvectors(factors: tuple[DensityMatrix, ...], order: np.ndarray) -> np.ndarray:
+    u = factors[0].eigenvectors
+    for f in factors[1:]:
+        u = kron(u, f.eigenvectors)
+    return u[:, order]
 
 
 def tensor_pow(rho: DensityMatrix, n: int, max_dim: int = DEFAULT_DIM_BUDGET) -> DensityMatrix:

@@ -5,7 +5,9 @@ formulas (classical probability, brute-force enumeration, support functions,
 series), never by calling the code under test. The one exception is
 ``holevo_by_rel_entropy``, the per-letter Blahut-Arimoto loop kept as the
 reference for the batched one; it calls ``rel_entropy`` and
-``info_variance``, which have their own oracles.
+``info_variance``, which have their own oracles. Likewise
+``points_one_at_a_time`` is the one-threshold Neyman-Pearson evaluator kept
+as the bitwise reference for the stacked one.
 """
 
 from __future__ import annotations
@@ -322,3 +324,22 @@ def holevo_by_rel_entropy(
     raise ConvergenceError(
         f"Holevo optimization did not converge in {max_iter} iterations; duality gap {gap:.3e}"
     )
+
+
+def points_one_at_a_time(rho_mat, sigma_mat, roots, u: float, node: bool):
+    """Strict and inclusive (alpha, beta) at threshold u, and the positive
+    eigenvalue mass the strict test leaves out, from one ``eigh`` of
+    (1 - u) rho - u sigma; ``roots`` stacks root factors F of rho and sigma
+    (F^dag F = state), and each error sums its slice of squared norms."""
+    w, vecs = np.linalg.eigh((1.0 - u) * rho_mat - u * sigma_mat)
+    d = w.size
+    fv = roots @ vecs
+    diags = (fv.real**2 + fv.imag**2).reshape(2, d, d).sum(axis=1)
+    tol = 1e-11 * max(u, 1.0 - u) if node else 0.0
+    k_pos, k_strict, k_incl = np.searchsorted(w, (0.0, tol, -tol), side="right")
+    out = [(min(float(diags[0, :k].sum()), 1.0), min(float(diags[1, k:].sum()), 1.0)) for k in (k_strict, k_incl)]
+    left_out = float(w[k_pos:k_strict].sum())
+    if not node:
+        roundoff = d * np.finfo(float).eps * max(-w[0], w[-1])
+        left_out += roundoff * np.count_nonzero(np.abs(w) < roundoff)
+    return out[0], out[1], left_out

@@ -9,6 +9,7 @@ from qhtbounds import (
     AdmissibilityError,
     CertificationError,
     CQChannel,
+    CQChannelFamily,
     DensityMatrix,
     DomainError,
     InvalidStateError,
@@ -516,3 +517,20 @@ def test_channel_json_and_report_serialization():
     assert set(as_json) == {"chi_star", "prior", "sigma_star", "v_min", "duality_gap", "iterations"}
     with pytest.raises(DomainError):
         channel_from_json({"alphabet": ["0"]})
+
+
+def test_step_pairs_memory_budget_refuses_before_building_outputs():
+    # 2^n qubit outputs of side 2^n hold 8^n entries: n = 8 fills the budget
+    # 4096^2 = 8^8 exactly, n = 9 exceeds it though 2^9 strings pass STRING_GUARD
+    class Sentinel(Exception):
+        pass
+
+    def output(string):
+        raise Sentinel(string)
+
+    fam = CQChannelFamily(faithful_pair_channel(), output, "kernel")
+    with pytest.raises(Sentinel):
+        minimal_upper_R(fam, 8)
+    for n in (9, 12):
+        with pytest.raises(ResourceError):
+            minimal_upper_R(fam, n)

@@ -273,3 +273,21 @@ def test_clustering_does_not_chain():
     assert len(m.locations) == 500
     assert np.allclose(m.weights, 2e-3, rtol=1e-12)
     assert np.allclose(m.locations, (np.arange(500) * 2 + 0.5) * 0.9e-9, rtol=0.0, atol=1e-20)
+
+
+def test_measure_of_tensor_powers_never_builds_product_eigenvectors(monkeypatch):
+    from qhtbounds import states
+
+    a, b = from_bloch(FIG1_A), from_bloch(FIG1_B)
+    seen = []
+
+    def recording_kron(x, y):
+        out = np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+        seen.append((out.shape[0], any(y is s.eigenvectors for s in (a, b))))
+        return out
+
+    monkeypatch.setattr(states, "kron", recording_kron)
+    meas = relative_modular_measure(tensor_pow(a, 10), tensor_pow(b, 10))
+    assert len(meas.locations) > 1
+    assert (1024, False) in seen  # the matrices are still built
+    assert not any(eigvecs for _, eigvecs in seen)

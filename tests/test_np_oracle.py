@@ -4,7 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import classical_beta, classical_np_points, dual_beta_star, pure_qubit_type2, type2_by_bisection
+from oracles import (
+    classical_beta,
+    classical_np_points,
+    dual_beta_star,
+    points_one_at_a_time,
+    pure_qubit_type2,
+    type2_by_bisection,
+)
 from qhtbounds import (
     ConvergenceError,
     DomainError,
@@ -275,6 +282,7 @@ def test_curve_meets_its_tolerance_on_the_dim8_pair():
     cur = error_curve(rho, sig)
     assert cur.gap <= np_oracle.CURVE_REFINE_TOL
     assert cur.points <= np_oracle.MAX_CURVE_POINTS
+    assert (cur.points, cur.alphas.size) == (9015, 9017)
     excess = [cur.beta_at(e) - optimal_type2(rho, sig, e) for e in np.linspace(0.01, 0.99, 99)]
     assert max(excess) <= np_oracle.CURVE_REFINE_TOL
     assert min(excess) >= -1e-12
@@ -283,6 +291,12 @@ def test_curve_meets_its_tolerance_on_the_dim8_pair():
 def test_curve_too_tight_tolerance_raises():
     with pytest.raises(ConvergenceError):
         error_curve(random_density(2, 21), random_density(2, 22), refine_tol=1e-13)
+
+
+def test_curve_rejects_a_negative_tolerance():
+    for tol in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            error_curve(random_density(2, 21), random_density(2, 22), refine_tol=tol)
 
 
 def test_dimension_mismatch():
@@ -309,3 +323,83 @@ def test_d_h_data_processing_under_partial_trace():
         sig_a = dm(partial_trace(sig.matrix, [2, 2], [0]))
         for eps in (0.1, 0.4):
             assert d_h(rho_a, sig_a, eps) <= d_h(rho, sig, eps) + 1e-10
+
+
+def _stack_vs_single(rho, sig, tol):
+    family = np_oracle._TestFamily(rho, sig, 1000)
+    nodes = np.array(family.candidate_u())
+    rng = np.random.default_rng(rho.dim)
+    for u, node in ((nodes, True), (np.sort(rng.random(40)), False)):
+        stacked = family.points_at(u, node)
+        for t in range(u.size):
+            single = family.points_at(u[t : t + 1], node)
+            for x, y in zip(stacked, single):
+                if tol == 0.0:
+                    assert x[t].tobytes() == y[0].tobytes(), (u[t], node)
+                else:
+                    assert np.abs(x[t] - y[0]).max() <= tol, (u[t], node)
+            # the sums keep the one-threshold order, so CLI output is unchanged
+            strict, incl, left_out = points_one_at_a_time(rho.matrix, sig.matrix, family._roots, float(u[t]), node)
+            assert (tuple(stacked[0][t]), tuple(stacked[1][t]), stacked[2][t]) == (strict, incl, left_out)
+    assert family.evaluations == 2 * (nodes.size + 40)
+
+
+def test_points_at_stack_matches_single_thresholds(monkeypatch):
+    pairs = [
+        (from_bloch(FIG1_A), from_bloch(FIG1_B), 0.0),
+        (tensor_pow(from_bloch(FIG1_A), 3), tensor_pow(from_bloch(FIG1_B), 3), 1e-15),
+        (random_density(4, 41), random_density(4, 42), 1e-15),
+    ]
+    for rho, sig, tol in pairs:
+        _stack_vs_single(rho, sig, tol)
+        # in chunks of two thresholds: the third dim-8 node, in the second
+        # chunk, leaves out a positive mass
+        monkeypatch.setattr(np_oracle, "STACK_BYTES", 2 * 16 * rho.dim**2)
+        _stack_vs_single(rho, sig, tol)
+        monkeypatch.undo()
+
+
+def test_split_point_falls_back_to_the_midpoint_near_an_end():
+    # tangent points 0.4 (inside), 0.203 (within 1% of the width 0.6 of
+    # u_lo = 0.2) and 1 / 1.1 (beyond u_hi = 0.8); the midpoint is 0.5
+    slopes = np.array([-1.5, 1.0 - 1.0 / 0.203, -0.1])
+    p_lo = np.array([[0.1, 0.5]] * 3)
+    p_hi = np.column_stack([np.full(3, 0.3), 0.5 + 0.2 * slopes])
+    u_mid = np_oracle._split_points(np.full(3, 0.2), p_lo, np.full(3, 0.8), p_hi)
+    assert np.allclose(u_mid, [0.4, 0.5, 0.5], rtol=0.0, atol=1e-12)
+
+
+def test_curve_checks_its_point_cap_before_each_round(monkeypatch):
+    rho, sig = tensor_pow(from_bloch(FIG1_A), 3), tensor_pow(from_bloch(FIG1_B), 3)
+    # the full curve needs 9,015 evaluations: that cap admits it exactly
+    monkeypatch.setattr(np_oracle, "MAX_CURVE_POINTS", 9015)
+    assert error_curve(rho, sig).points == 9015
+    eigh = np.linalg.eigh
+    for cap in (9014, 3000):
+        monkeypatch.setattr(np_oracle, "MAX_CURVE_POINTS", cap)
+        taken = []
+
+        def counting_eigh(a):
+            taken.append(1 if a.ndim == 2 else a.shape[0])
+            assert sum(taken) <= cap, "a stacked call went past the cap"
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        with pytest.raises(ConvergenceError):
+            error_curve(rho, sig)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert len(taken) > 1 and sum(taken) <= cap
+
+
+def test_curve_is_independent_of_the_chunk_size(monkeypatch):
+    for k, points in ((1, 3227), (3, 9015)):
+        rho, sig = tensor_pow(from_bloch(FIG1_A), k), tensor_pow(from_bloch(FIG1_B), k)
+        whole = error_curve(rho, sig)
+        assert whole.points == points
+        # 7 thresholds per chunk at dim 8 (2,048 by default), 112 at dim 2
+        monkeypatch.setattr(np_oracle, "STACK_BYTES", 7 * 16 * 8 * 8)
+        chunked = error_curve(rho, sig)
+        monkeypatch.undo()
+        assert chunked.alphas.tobytes() == whole.alphas.tobytes()
+        assert chunked.betas.tobytes() == whole.betas.tobytes()
+        assert (chunked.gap, chunked.points) == (whole.gap, whole.points)

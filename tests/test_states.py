@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,30 @@ def test_states_compare_by_identity_and_hash():
     seen = {a: "a", b: "b"}
     assert seen[a] == "a" and seen[b] == "b"
     assert tensor_pow(a, 2).factors == (a, a)
+
+
+def _eager_eigenvectors(factors):
+    """Kronecker product of the factors' eigenvectors, columns in the stable
+    ascending order of the Kronecker product of their eigenvalues."""
+    w, u = factors[0].eigenvalues, factors[0].eigenvectors
+    for f in factors[1:]:
+        w, u = np.kron(w, f.eigenvalues), np.kron(u, f.eigenvectors)
+    return u[:, np.argsort(w, kind="stable")]
+
+
+def test_product_eigenvectors_are_built_on_first_read():
+    a, b, c = random_density(2, 31), random_density(3, 32), random_density(2, 33)
+    prod = product_state([a, b, c])
+    assert callable(prod._eigenvectors)
+    unread = pickle.loads(pickle.dumps(prod))  # the pending build pickles too
+    u = prod.eigenvectors
+    assert u.tobytes() == _eager_eigenvectors([a, b, c]).tobytes()
+    assert unread.eigenvectors.tobytes() == u.tobytes()
+    assert prod.eigenvectors is u and not u.flags.writeable
+    # a nested product sorts as its eager construction did: ties in a tensor
+    # power keep the order of the inner product's sorted columns
+    sq = tensor_pow(a, 2)
+    nested = product_state([sq, a, b])
+    assert nested.eigenvectors.tobytes() == _eager_eigenvectors([sq, a, b]).tobytes()
+    assert np.allclose((nested.eigenvectors * nested.eigenvalues) @ nested.eigenvectors.conj().T, nested.matrix)
+
